@@ -1,5 +1,10 @@
 """Derived observables: visibility from propagation, error-propagation phase
-sensitivity, shot-noise normalization and the optimal working point."""
+sensitivity, shot-noise normalization and the optimal working point.
+
+With real parameters the signal photon-number mean and variance are
+polynomials of degree one and two in cos(theta); three Gaussian runs fix them
+(PhaseResponse), and the slope, sensitivity and optimum follow in closed form.
+"""
 
 from __future__ import annotations
 
@@ -7,15 +12,17 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
-from . import closed_form, gaussian
+from . import gaussian
 from .config import InterferometerConfig
 from .errors import DomainError, StationaryPointError, UndefinedVisibilityError
 
-GRID_POINTS = 256
-GOLDEN_TOL = 1e-8
-DERIVATIVE_STEP = 1e-5
+# |m1| at or below this fraction of m0 is rounding noise, not a resolved fringe
+INTERFERENCE_RTOL = 1e-9
+# |sin theta0| at or below this puts the working point on a fringe extremum
+STATIONARY_SIN = 1e-12
+# working points stay this far inside (0, pi): at the lossless dark fringe the
+# phase variance has an infimum at theta -> pi that no working point attains
+THETA_MARGIN = math.pi / 514
 
 
 class ShotNoiseConvention(str, Enum):
@@ -57,42 +64,83 @@ def visibility_numeric(cfg: InterferometerConfig) -> float:
     return (m0 - mpi) / total
 
 
-def _mean_at(cfg: InterferometerConfig, theta: float) -> float:
-    return gaussian.mean_photons(gaussian.run_interferometer(cfg.with_theta(theta)))
+@dataclass(frozen=True)
+class PhaseResponse:
+    """Signal photon-number statistics as functions of c = cos(theta):
+    <N_s> = m0 + m1 c and Var N_s = v0 + v1 c + v2 c^2."""
+
+    m0: float
+    m1: float
+    v0: float
+    v1: float
+    v2: float
+
+    def mean(self, theta: float) -> float:
+        return self.m0 + self.m1 * math.cos(theta)
+
+    def variance(self, theta: float) -> float:
+        c = math.cos(theta)
+        return self.v0 + (self.v1 + self.v2 * c) * c
+
+    def slope(self, theta: float) -> float:
+        return -self.m1 * math.sin(theta)
+
+    def dtheta2(self, theta: float) -> float:
+        """Error-propagation phase variance Var N_s / (d<N_s>/d theta)^2."""
+        if abs(math.sin(theta)) <= STATIONARY_SIN:
+            raise StationaryPointError(
+                f"theta0={theta} sits on an interference extremum (zero slope)"
+            )
+        return self.variance(theta) / self.slope(theta) ** 2
+
+    def optimal_theta(self) -> float:
+        """Working point in (0, pi) minimizing dtheta2.
+
+        Var/(1 - c^2) is stationary where v1 c^2 + 2 b c + v1 = 0, b = v0 + v2.
+        The roots multiply to 1; the one in [-1, 1] is taken in the form
+        without cancellation, with b^2 - v1^2 = Var(pi) Var(0) >= 0.
+        """
+        b = self.v0 + self.v2
+        disc = max(b - self.v1, 0.0) * max(b + self.v1, 0.0)
+        c = -self.v1 / (b + math.sqrt(disc))
+        theta = math.acos(min(max(c, -1.0), 1.0))
+        return min(max(theta, THETA_MARGIN), math.pi - THETA_MARGIN)
 
 
-def mean_derivative(
-    cfg: InterferometerConfig, theta0: float, step: float = DERIVATIVE_STEP
-) -> float:
-    """d<N_s>/d theta at theta0 by central difference, validated against the
-    analytic closed-form slope; falls back to Richardson extrapolation."""
-    ana = closed_form.mean_signal_derivative(cfg.with_theta(theta0))
-
-    def central(h):
-        return (_mean_at(cfg, theta0 + h) - _mean_at(cfg, theta0 - h)) / (2.0 * h)
-
-    num = central(step)
-    if abs(ana) > 1e-12 and abs(num - ana) > 1e-6 * abs(ana):
-        # Richardson: eliminate the O(h^2) truncation term
-        num = (4.0 * central(step / 2.0) - num) / 3.0
-    return num
+def phase_response(cfg: InterferometerConfig) -> PhaseResponse:
+    """Mean and variance coefficients from Gaussian runs at theta = 0, pi/2, pi."""
+    s0, sh, sp = (
+        gaussian.photon_stats(gaussian.run_interferometer(cfg.with_theta(theta)))
+        for theta in (0.0, 0.5 * math.pi, math.pi)
+    )
+    return PhaseResponse(
+        m0=sh.mean,
+        m1=0.5 * (s0.mean - sp.mean),
+        v0=sh.variance,
+        v1=0.5 * (s0.variance - sp.variance),
+        v2=0.5 * (s0.variance + sp.variance) - sh.variance,
+    )
 
 
-def sensitivity(
-    cfg: InterferometerConfig,
-    theta0: float,
-    derivative_step: float = DERIVATIVE_STEP,
-) -> float:
-    """Error-propagation phase variance Var(N_s) / |d<N_s>/d theta|^2 at theta0."""
-    deriv = mean_derivative(cfg, theta0, derivative_step)
-    if abs(deriv) < 1e-12:
-        raise StationaryPointError(
-            f"theta0={theta0} sits on an interference extremum (zero slope)"
+def _sensing_response(cfg: InterferometerConfig) -> PhaseResponse:
+    """The phase response, rejected when it carries no resolved fringe."""
+    r = phase_response(cfg)
+    if abs(r.m1) <= INTERFERENCE_RTOL * abs(r.m0):
+        raise DomainError(
+            f"interference term not resolved: fringe amplitude {abs(r.m1):.3g} "
+            f"is below {INTERFERENCE_RTOL:g} of the mean photon number {r.m0:.3g}"
         )
-    var = gaussian.photon_stats(
-        gaussian.run_interferometer(cfg.with_theta(theta0))
-    ).variance
-    return var / deriv**2
+    return r
+
+
+def mean_derivative(cfg: InterferometerConfig, theta0: float) -> float:
+    """d<N_s>/d theta at theta0: -m1 sin(theta0)."""
+    return phase_response(cfg).slope(theta0)
+
+
+def sensitivity(cfg: InterferometerConfig, theta0: float) -> float:
+    """Error-propagation phase variance Var(N_s) / |d<N_s>/d theta|^2 at theta0."""
+    return _sensing_response(cfg).dtheta2(theta0)
 
 
 def shot_noise_level(
@@ -111,25 +159,6 @@ def shot_noise_level(
     return 1.0 / n_s
 
 
-def _golden_minimize(f, lo, hi, tol):
-    """Golden-section search for the minimum of f on (lo, hi)."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while abs(b - a) > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
 def optimal_sensitivity(
     cfg: InterferometerConfig,
     convention: ShotNoiseConvention = ShotNoiseConvention.AFTER_OPA1,
@@ -137,16 +166,9 @@ def optimal_sensitivity(
     """Minimize the phase variance over the working point theta0 in (0, pi)."""
     if cfg.g2 <= 0.0:
         raise DomainError("g2 must be > 0: no interference at the second OPA")
-    if closed_form.shorthand(cfg).beta * cfg.t_s * cfg.t_i == 0.0:
-        raise DomainError("no interference term: beta * t_s * t_i is zero")
-
-    grid = np.linspace(0.0, math.pi, GRID_POINTS + 2)[1:-1]
-    values = np.array([sensitivity(cfg, th) for th in grid])
-    best = int(np.argmin(values))  # first index wins ties: smallest theta0
-    lo = grid[best - 1] if best > 0 else grid[0] / 2.0
-    hi = grid[best + 1] if best < len(grid) - 1 else 0.5 * (grid[-1] + math.pi)
-    theta_opt = _golden_minimize(lambda th: sensitivity(cfg, th), lo, hi, GOLDEN_TOL)
-    dtheta2 = sensitivity(cfg, theta_opt)
+    response = _sensing_response(cfg)
+    theta_opt = response.optimal_theta()
+    dtheta2 = response.dtheta2(theta_opt)
 
     snl = shot_noise_level(cfg, convention)
     db = 10.0 * math.log10(snl / dtheta2)

@@ -5,8 +5,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -131,29 +129,10 @@ def _evaluate_point(spec: SweepSpec, x: float) -> SweepRow:
     return SweepRow(axis_value=float(x), values=values, error=None)
 
 
-def _max_workers() -> int:
-    raw = os.environ.get("SU11_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n <= 0:
-        n = min(32, os.cpu_count() or 1)
-    return n
-
-
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
-    """Evaluate the requested metrics at every grid point, in axis order.
-
-    Points are independent; evaluation may fan out over SU11_THREADS workers
-    but the returned order (and any serialized bytes) never depends on it.
-    """
-    xs = grid(spec)
-    workers = _max_workers()
-    if workers == 1 or len(xs) < 4:
-        return [_evaluate_point(spec, x) for x in xs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda x: _evaluate_point(spec, x), xs))
+    """Evaluate the requested metrics at every grid point, in axis order,
+    one point after another on the calling thread."""
+    return [_evaluate_point(spec, x) for x in grid(spec)]
 
 
 # --- config-file format: flat "key = value" lines ---------------------------
@@ -202,10 +181,15 @@ def parse_config_text(text: str) -> dict[str, str]:
 
 def spec_from_config(entries: dict[str, str]) -> SweepSpec:
     """Build a sweep spec from parsed config entries (plus CLI overrides)."""
-    def fget(key, default=None):
-        if key in entries:
-            return float(entries[key])
-        return default
+    def fget(key, default=None, kind=float):
+        if key not in entries:
+            return default
+        try:
+            return kind(entries[key])
+        except ValueError:
+            raise DomainError(
+                f"config key {key!r}: expected {kind.__name__}, got {entries[key]!r}"
+            ) from None
 
     fixed = InterferometerConfig(
         g1=fget("g1", 0.0),
@@ -227,7 +211,7 @@ def spec_from_config(entries: dict[str, str]) -> SweepSpec:
         axis=entries["axis"],
         lo=fget("lo", 0.0),
         hi=fget("hi", 1.0),
-        steps=int(entries.get("steps", "2")),
+        steps=fget("steps", 2, int),
         fixed=fixed,
         metrics=tuple(m.strip() for m in metrics_str.split(",") if m.strip()),
         base_ts2=fget("base_ts2"),
@@ -512,19 +496,13 @@ def _validate_point(cfg: InterferometerConfig) -> tuple[dict[str, float], list[s
 
 def validate(seed: int, points: int) -> ValidationReport:
     """Run the closed-form / Gaussian / Fock agreement suite on a seeded grid."""
-    if points > 10**4:
-        raise DomainError(f"points must be <= 1e4, got {points}")
+    if not 0 <= points <= 10**4:
+        raise DomainError(f"points must lie in [0, 1e4], got {points}")
     cfgs = random_oracle_configs(seed, points)
     worst: dict[str, float] = {}
     flagged: list[str] = []
     failures: list[str] = []
-
-    workers = _max_workers()
-    if workers == 1 or len(cfgs) < 4:
-        results = [_validate_point(c) for c in cfgs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_validate_point, cfgs))
+    results = [_validate_point(c) for c in cfgs]
 
     tol = {
         "mean_closed_form_vs_gaussian": MEAN_RTOL,

@@ -1,10 +1,13 @@
+import inspect
 import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 from su11sim import InterferometerConfig
 from su11sim import closed_form as cf
+from su11sim import gaussian
 from su11sim import metrics as m
 from su11sim.errors import DomainError, StationaryPointError, UndefinedVisibilityError
 from su11sim.metrics import ShotNoiseConvention
@@ -121,3 +124,80 @@ class TestOptimalSensitivity:
         db0 = m.optimal_sensitivity(cfg(ti2=0.75), conv).db_vs_shotnoise
         db50 = m.optimal_sensitivity(cfg(ti2=0.75, n_i=50.0), conv).db_vs_shotnoise
         assert db50 - db0 >= 1.0
+
+
+def random_config(rng, lossy=False):
+    lo_t = 0.3 if lossy else 0.0
+    hi_t = 0.95 if lossy else 1.0
+    return InterferometerConfig(
+        g1=rng.uniform(0.0, 1.5),
+        g2=rng.uniform(0.05, 1.5),
+        t_s=rng.uniform(lo_t, hi_t),
+        t_i=rng.uniform(lo_t, hi_t),
+        n_i=rng.choice([0.0, rng.uniform(0.0, 1e3)]),
+    )
+
+
+class TestPhaseResponse:
+    def test_reconstructs_direct_runs(self):
+        rng = np.random.default_rng(21)
+        for _ in range(40):
+            c = random_config(rng)
+            r = m.phase_response(c)
+            for theta in rng.uniform(-2.0 * math.pi, 2.0 * math.pi, 5):
+                direct = gaussian.photon_stats(
+                    gaussian.run_interferometer(c.with_theta(theta))
+                )
+                assert r.mean(theta) == pytest.approx(direct.mean, rel=1e-9, abs=1e-12)
+                assert r.variance(theta) == pytest.approx(
+                    direct.variance, rel=1e-9, abs=1e-12
+                )
+
+    def test_optimum_matches_dense_brute_force(self):
+        rng = np.random.default_rng(4)
+        lo, hi = m.THETA_MARGIN, math.pi - m.THETA_MARGIN
+        for _ in range(8):
+            c = random_config(rng, lossy=True)
+            report = m.optimal_sensitivity(c)
+            grid = np.linspace(lo, hi, 513)
+            values = [m.sensitivity(c, th) for th in grid]
+            k = int(np.argmin(values))
+            res = minimize_scalar(
+                lambda th: m.sensitivity(c, th),
+                bounds=(grid[max(k - 1, 0)], grid[min(k + 1, len(grid) - 1)]),
+                method="bounded",
+                options={"xatol": 1e-10},
+            )
+            brute = min(res.fun, values[k])
+            assert report.dtheta2 <= brute * (1.0 + 1e-12)
+            assert report.dtheta2 == pytest.approx(brute, rel=1e-9)
+
+    def test_optimum_costs_three_gaussian_runs_and_no_closed_form(self, monkeypatch):
+        counts = {"gaussian": 0, "closed_form": 0}
+
+        def counting(key, fn):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(
+            gaussian, "run_interferometer",
+            counting("gaussian", gaussian.run_interferometer),
+        )
+        for name, fn in list(vars(cf).items()):
+            if inspect.isfunction(fn) and fn.__module__ == cf.__name__:
+                monkeypatch.setattr(cf, name, counting("closed_form", fn))
+        m.optimal_sensitivity(cfg(ti2=0.75, n_i=50.0))
+        assert counts == {"gaussian": 3, "closed_form": 0}
+
+    def test_unresolved_interference_rejected(self):
+        for c in (cfg(ts2=0.0), cfg(g1=0.0), cfg(ts2=1e-30)):
+            with pytest.raises(DomainError, match="interference term not resolved"):
+                m.sensitivity(c, 1.0)
+
+    def test_stationary_only_on_extremum(self):
+        with pytest.raises(StationaryPointError):
+            m.sensitivity(cfg(), math.pi)
+        # a tiny but resolved slope is a valid working point
+        assert m.sensitivity(cfg(), 1e-9) > 0

@@ -296,3 +296,28 @@ class TestCli:
 
     def test_validate_budget_exceeded(self, capsys):
         assert cli.main(["validate", "--points", "100000"]) == cli.EXIT_USAGE
+
+    def test_validate_negative_points_is_usage_error(self, capsys):
+        assert cli.main(["validate", "--points", "-5"]) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "points must lie in" in captured.err
+        assert "passed" not in captured.out
+
+    def test_sweep_non_integer_steps_names_the_key(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("g1 = 0.1\ng2 = 0.1\naxis = theta\nsteps = 2.5\n")
+        assert cli.main(["sweep", "--config", str(cfg)]) == cli.EXIT_USAGE
+        assert "'steps'" in capsys.readouterr().err
+
+    def test_sweep_non_numeric_value_names_the_key(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("g1 = fast\naxis = theta\n")
+        assert cli.main(["sweep", "--config", str(cfg)]) == cli.EXIT_USAGE
+        assert "'g1'" in capsys.readouterr().err
+
+    def test_sensitivity_unresolved_interference(self, capsys):
+        rc = cli.main(["sensitivity", "--g1", ".1", "--g2", ".1", "--ts2", "1e-30"])
+        assert rc == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "interference term not resolved" in err
+        assert "extremum" not in err
