@@ -6,6 +6,7 @@ from .config import InterferometerConfig
 from .errors import (
     DomainError,
     StationaryPointError,
+    Su11Error,
     TruncationError,
     UndefinedVisibilityError,
 )
@@ -29,6 +30,7 @@ __all__ = [
     "SIGNAL",
     "IDLER",
     "run_interferometer",
+    "Su11Error",
     "DomainError",
     "UndefinedVisibilityError",
     "StationaryPointError",

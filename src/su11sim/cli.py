@@ -7,30 +7,19 @@ errors present in a sweep.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
-import math
 import sys
 from pathlib import Path
 
 from . import __version__, closed_form, metrics, sweep
-from .config import InterferometerConfig
-from .errors import (
-    DomainError,
-    StationaryPointError,
-    TruncationError,
-    UndefinedVisibilityError,
-)
+from .errors import Su11Error
 from .metrics import ShotNoiseConvention
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_POINT_ERRORS = 3
-
-_CONFIG_KEYS = (
-    "g1", "g2", "theta", "ts2", "ti2", "n_i", "snl_convention",
-    "axis", "lo", "hi", "steps", "base_ts2", "base_ti2", "metrics",
-)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -40,36 +29,25 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _add_cfg_flags(p: argparse.ArgumentParser):
-    # long flag names match config-file keys exactly
-    p.add_argument("--g1", type=float, default=None)
-    p.add_argument("--g2", type=float, default=None)
-    p.add_argument("--theta", type=float, default=None)
-    p.add_argument("--ts2", type=float, default=None)
-    p.add_argument("--ti2", type=float, default=None)
-    p.add_argument("--n_i", type=float, default=None)
-    p.add_argument(
-        "--snl_convention",
-        choices=[c.value for c in ShotNoiseConvention],
-        default=None,
-    )
+def _add_key_flags(p: argparse.ArgumentParser, keys):
+    """One flag per config key, named after it; an unset flag stays None."""
+    for key in keys:
+        if key.default is False:
+            # a switch, also spelled with hyphens
+            p.add_argument(f"--{key.name}", f"--{key.name.replace('_', '-')}",
+                           action="store_const", const=True, help=key.help)
+        else:
+            p.add_argument(f"--{key.name}", type=key.parse, choices=key.choices,
+                           help=key.help)
 
 
-def _cfg_from_args(args, defaults=None) -> InterferometerConfig:
-    d = defaults or {}
-    def pick(flag, key, fallback):
-        v = getattr(args, flag)
-        return v if v is not None else d.get(key, fallback)
-    return InterferometerConfig(
-        g1=pick("g1", "g1", 0.0),
-        g2=pick("g2", "g2", 0.0),
-        theta=pick("theta", "theta", 0.0),
-        t_s=math.sqrt(pick("ts2", "ts2", 1.0)),
-        t_i=math.sqrt(pick("ti2", "ti2", 1.0)),
-        n_i=pick("n_i", "n_i", 0.0),
-    )
+def _flag_values(args) -> dict:
+    """The typed values of the config-key flags given on the command line."""
+    given = ((key.name, getattr(args, key.name, None)) for key in sweep.CONFIG_KEYS)
+    return {name: v for name, v in given if v is not None}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="su11", description=__doc__)
     parser.add_argument("--version", action="version", version=f"su11sim {__version__}")
@@ -77,17 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="run a parameter sweep from a config file")
     p.add_argument("--config", type=Path, help="flat key/value config file")
-    _add_cfg_flags(p)
-    p.add_argument("--axis", choices=sweep.AXES, default=None)
-    p.add_argument("--lo", type=float, default=None)
-    p.add_argument("--hi", type=float, default=None)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--base_ts2", type=float, default=None)
-    p.add_argument("--base_ti2", type=float, default=None)
-    p.add_argument("--metrics", type=str, default=None,
-                   help="comma-separated subset of " + ",".join(sweep.METRICS))
-    p.add_argument("--axis-total", action="store_true",
-                   help="treat the swept transmission as total, not an extra filter")
+    _add_key_flags(p, sweep.CONFIG_KEYS)
     p.add_argument("--out", type=Path, default=None, help="CSV output path (default stdout)")
     p.add_argument("--json", type=Path, default=None, help="also write a JSON mirror here")
 
@@ -103,10 +71,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true", help="also write a JSON mirror")
 
     p = sub.add_parser("sensitivity", help="optimal phase sensitivity for one config")
-    _add_cfg_flags(p)
+    _add_key_flags(p, sweep.DEVICE_KEYS)
 
     p = sub.add_parser("visibility", help="interference visibility for one config")
-    _add_cfg_flags(p)
+    _add_key_flags(p, sweep.DEVICE_KEYS)
 
     p = sub.add_parser("validate", help="three-way oracle agreement suite")
     p.add_argument("--seed", type=int, default=42)
@@ -116,21 +84,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_sweep(args) -> int:
-    entries: dict[str, str] = {}
+    entries = {}
     if args.config is not None:
         entries = sweep.parse_config_text(args.config.read_text())
-        unknown = set(entries) - set(_CONFIG_KEYS) - {"axis_total"}
-        if unknown:
-            print(f"su11: unknown config keys: {sorted(unknown)}", file=sys.stderr)
-            return EXIT_USAGE
-    # flag overrides, long names matching config keys
-    for key in _CONFIG_KEYS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            entries[key] = str(flag)
-    if args.axis_total:
-        entries["axis_total"] = "true"
-    spec = sweep.spec_from_config(entries)
+    spec = sweep.spec_from_config(entries, _flag_values(args))
     rows = sweep.run_sweep(spec)
     csv_text = sweep.sweep_to_csv(spec, rows)
     if args.out is not None:
@@ -157,9 +114,12 @@ def _cmd_figure(args) -> int:
     return EXIT_OK
 
 
+def _device(args):
+    return sweep.device_from_values(sweep.config_values({}, _flag_values(args)))
+
+
 def _cmd_sensitivity(args) -> int:
-    cfg = _cfg_from_args(args)
-    conv = ShotNoiseConvention(args.snl_convention or "after_opa1")
+    cfg, conv = _device(args)
     report = metrics.optimal_sensitivity(cfg, conv)
     print(json.dumps({
         "theta_opt": report.theta_opt,
@@ -172,7 +132,7 @@ def _cmd_sensitivity(args) -> int:
 
 
 def _cmd_visibility(args) -> int:
-    cfg = _cfg_from_args(args)
+    cfg, _ = _device(args)
     v_num = metrics.visibility_numeric(cfg)
     v_cf = closed_form.visibility(cfg)
     print(json.dumps({"visibility": v_num, "visibility_closed_form": v_cf}, indent=2))
@@ -209,12 +169,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (
-        DomainError,
-        UndefinedVisibilityError,
-        StationaryPointError,
-        TruncationError,
-    ) as exc:
+    except Su11Error as exc:
         print(f"su11: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

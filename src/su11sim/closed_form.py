@@ -36,13 +36,19 @@ class GainShorthand:
 def shorthand(cfg: InterferometerConfig) -> GainShorthand:
     """Evaluate the five gain-shorthand parameters for a configuration."""
     g1, g2 = cfg.g1, cfg.g2
-    return GainShorthand(
-        beta=0.5 * math.sinh(2 * g1) * math.sinh(2 * g2),
-        lambda21=math.sinh(g2) ** 2 * math.cosh(g1) ** 2,
-        lambda12=math.sinh(g1) ** 2 * math.cosh(g2) ** 2,
-        delta1=math.cosh(g1) ** 2,
-        delta2=math.sinh(g2) ** 2,
-    )
+    try:
+        p = GainShorthand(
+            beta=0.5 * math.sinh(2 * g1) * math.sinh(2 * g2),
+            lambda21=math.sinh(g2) ** 2 * math.cosh(g1) ** 2,
+            lambda12=math.sinh(g1) ** 2 * math.cosh(g2) ** 2,
+            delta1=math.cosh(g1) ** 2,
+            delta2=math.sinh(g2) ** 2,
+        )
+        if math.isfinite(p.beta + p.lambda21 + p.lambda12 + p.delta1):
+            return p
+    except OverflowError:
+        pass
+    raise DomainError(f"gains g1={g1}, g2={g2} overflow float64 in the closed form")
 
 
 def mean_signal(cfg: InterferometerConfig) -> float:
@@ -50,12 +56,15 @@ def mean_signal(cfg: InterferometerConfig) -> float:
 
     (n_i+1) (beta cos(theta) t_i t_s + lambda21 t_i^2 + lambda12 t_s^2)
       + delta2 (1 - t_i^2)
+
+    The bracket is summed as two non-negative parts that do not cancel at the
+    dark fringe: (sinh g2 cosh g1 t_i - sinh g1 cosh g2 t_s)^2
+    + 2 beta t_i t_s cos^2(theta/2).
     """
     p = shorthand(cfg)
+    imbalance = math.sqrt(p.lambda21) * cfg.t_i - math.sqrt(p.lambda12) * cfg.t_s
     interference = (
-        p.beta * math.cos(cfg.theta) * cfg.t_i * cfg.t_s
-        + p.lambda21 * cfg.t_i**2
-        + p.lambda12 * cfg.t_s**2
+        imbalance**2 + 2.0 * p.beta * cfg.t_i * cfg.t_s * math.cos(0.5 * cfg.theta) ** 2
     )
     return (cfg.n_i + 1.0) * interference + p.delta2 * (1.0 - cfg.t_i**2)
 

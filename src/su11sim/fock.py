@@ -103,14 +103,8 @@ def _displace_generator(alpha: complex, d: int, mode: str) -> sp.spmatrix:
 
 def _apply_unitary(state: FockTwoModeState, gen: sp.spmatrix) -> FockTwoModeState:
     d = state.cutoff
-    if state.is_pure:
-        vec = expm_multiply(gen, state.tensor.reshape(-1))
-        return FockTwoModeState(tensor=vec.reshape(d, d), is_pure=True)
-    # density path: build the dense unitary once, conjugate by GEMM
-    u = expm(gen.toarray())
-    rho = state.tensor.reshape(d * d, d * d)
-    rho_out = u @ rho @ u.conj().T
-    return FockTwoModeState(tensor=rho_out.reshape(d, d, d, d), is_pure=False)
+    vec = expm_multiply(gen, state.tensor.reshape(-1))
+    return FockTwoModeState(tensor=vec.reshape(d, d), is_pure=True)
 
 
 def number_distribution(state: FockTwoModeState, mode: str = SIGNAL) -> np.ndarray:
@@ -167,7 +161,9 @@ def squeeze(state: FockTwoModeState, g: float) -> FockTwoModeState:
 
 
 def displace(state: FockTwoModeState, alpha: complex, mode: str) -> FockTwoModeState:
-    """Coherent displacement D(alpha) on one mode."""
+    """Coherent displacement D(alpha) on one mode of a pure state."""
+    if not state.is_pure:
+        raise DomainError("displace acts on pure states only; the pipeline seeds first")
     if alpha == 0:
         return state
     return _with_tail_retry(

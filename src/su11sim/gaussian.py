@@ -8,6 +8,7 @@ interferometer pipeline stays exact at any gain, loss or seed strength.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,6 +122,9 @@ def photon_stats(state: GaussianTwoModeState, mode: str = SIGNAL) -> PhotonStats
     d = state.disp[sl]
     mean = 0.5 * (np.trace(v) - 1.0) + 0.5 * float(d @ d)
     var = 0.5 * float(np.trace(v @ v)) + float(d @ v @ d) - 0.25
+    if not (math.isfinite(mean) and math.isfinite(var)):
+        raise DomainError(f"photon statistics overflow float64 (mean={mean}, "
+                          f"variance={var}); reduce the gains or the seed")
     return PhotonStats(mean=float(mean), variance=float(var))
 
 

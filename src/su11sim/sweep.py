@@ -7,29 +7,18 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Any, Callable
 
 import numpy as np
 
 from . import __version__, closed_form, fock, gaussian, metrics
 from .config import InterferometerConfig
-from .errors import (
-    DomainError,
-    StationaryPointError,
-    TruncationError,
-    UndefinedVisibilityError,
-)
+from .errors import DomainError, Su11Error, UndefinedVisibilityError
 from .metrics import ShotNoiseConvention
 
 AXES = ("t_s2", "t_i2", "t_both2", "theta", "n_i", "G1", "G2")
 METRICS = ("mean", "visibility", "dtheta2", "db_vs_shotnoise")
 MAX_STEPS = 10**6
-
-_POINT_ERRORS = (
-    DomainError,
-    UndefinedVisibilityError,
-    StationaryPointError,
-    TruncationError,
-)
 
 
 @dataclass(frozen=True)
@@ -124,7 +113,7 @@ def _evaluate_point(spec: SweepSpec, x: float) -> SweepRow:
                 values["dtheta2"] = report.dtheta2
             if "db_vs_shotnoise" in spec.metrics:
                 values["db_vs_shotnoise"] = report.db_vs_shotnoise
-    except _POINT_ERRORS as exc:
+    except Su11Error as exc:
         return SweepRow(axis_value=float(x), values=values, error=str(exc))
     return SweepRow(axis_value=float(x), values=values, error=None)
 
@@ -135,34 +124,74 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     return [_evaluate_point(spec, x) for x in grid(spec)]
 
 
-# --- config-file format: flat "key = value" lines ---------------------------
+# --- config keys: one table drives the config file, CLI flags and provenance --
 
-_CONVENTIONS = {c.value: c for c in ShotNoiseConvention}
+
+def boolean(text: str) -> bool:
+    """1/true/yes or 0/false/no, in any case."""
+    word = text.strip().lower()
+    if word not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError(f"not a boolean: {text!r}")
+    return word in ("1", "true", "yes")
+
+
+def name_list(text: str) -> tuple[str, ...]:
+    """Comma-separated names, blanks dropped."""
+    return tuple(m.strip() for m in text.split(",") if m.strip())
+
+
+@dataclass(frozen=True)
+class ConfigKey:
+    """One config-file key: how its text parses, its default, the value a
+    SweepSpec holds for it, and the allowed words if it is a choice."""
+
+    name: str
+    parse: Callable[[str], Any]
+    default: Any
+    get: Callable[[SweepSpec], Any]
+    choices: tuple[str, ...] | None = None
+    help: str | None = None
+
+
+CONFIG_KEYS = (
+    ConfigKey("g1", float, 0.0, lambda s: s.fixed.g1),
+    ConfigKey("g2", float, 0.0, lambda s: s.fixed.g2),
+    ConfigKey("theta", float, 0.0, lambda s: s.fixed.theta),
+    ConfigKey("ts2", float, 1.0, lambda s: s.fixed.t_s**2),
+    ConfigKey("ti2", float, 1.0, lambda s: s.fixed.t_i**2),
+    ConfigKey("n_i", float, 0.0, lambda s: s.fixed.n_i),
+    ConfigKey("snl_convention", str, ShotNoiseConvention.AFTER_OPA1.value,
+              lambda s: s.snl_convention.value, tuple(c.value for c in ShotNoiseConvention)),
+    ConfigKey("axis", str, None, lambda s: s.axis, AXES),
+    ConfigKey("lo", float, 0.0, lambda s: s.lo),
+    ConfigKey("hi", float, 1.0, lambda s: s.hi),
+    ConfigKey("steps", int, 2, lambda s: s.steps),
+    ConfigKey("metrics", name_list, ("mean",), lambda s: s.metrics,
+              help="comma-separated subset of " + ",".join(METRICS)),
+    ConfigKey("base_ts2", float, None, lambda s: s.base_ts2),
+    ConfigKey("base_ti2", float, None, lambda s: s.base_ti2),
+    ConfigKey("axis_total", boolean, False, lambda s: s.axis_total,
+              help="treat the swept transmission as total, not an extra filter"),
+)
+# the device alone: gains, phase, transmissions, seed and shot-noise convention
+DEVICE_KEYS = CONFIG_KEYS[:7]
+
+
+def _text(value) -> str:
+    if isinstance(value, tuple):
+        return ",".join(value)
+    if isinstance(value, bool):
+        return str(value).lower()
+    return value if isinstance(value, str) else repr(value)
 
 
 def spec_to_config_text(spec: SweepSpec) -> str:
-    """Serialize a sweep spec to the flat key/value config format."""
-    lines = [
-        f"g1 = {spec.fixed.g1!r}",
-        f"g2 = {spec.fixed.g2!r}",
-        f"theta = {spec.fixed.theta!r}",
-        f"ts2 = {spec.fixed.t_s ** 2!r}",
-        f"ti2 = {spec.fixed.t_i ** 2!r}",
-        f"n_i = {spec.fixed.n_i!r}",
-        f"snl_convention = {spec.snl_convention.value}",
-        f"axis = {spec.axis}",
-        f"lo = {spec.lo!r}",
-        f"hi = {spec.hi!r}",
-        f"steps = {spec.steps}",
-        f"metrics = {','.join(spec.metrics)}",
-    ]
-    if spec.base_ts2 is not None:
-        lines.append(f"base_ts2 = {spec.base_ts2!r}")
-    if spec.base_ti2 is not None:
-        lines.append(f"base_ti2 = {spec.base_ti2!r}")
-    if spec.axis_total:
-        lines.append("axis_total = true")
-    return "\n".join(lines) + "\n"
+    """Serialize a sweep spec to the flat key/value config format; keys whose
+    value is None or False are left out."""
+    values = ((key.name, key.get(spec)) for key in CONFIG_KEYS)
+    return "".join(
+        f"{name} = {_text(v)}\n" for name, v in values if v is not None and v is not False
+    )
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -179,45 +208,49 @@ def parse_config_text(text: str) -> dict[str, str]:
     return out
 
 
-def spec_from_config(entries: dict[str, str]) -> SweepSpec:
-    """Build a sweep spec from parsed config entries (plus CLI overrides)."""
-    def fget(key, default=None, kind=float):
-        if key not in entries:
-            return default
+def config_values(entries: dict[str, str], overrides: dict | None = None) -> dict:
+    """Typed value of every config key: an already typed override (a
+    command-line flag), else the parsed config entry, else the default."""
+    unknown = sorted(set(entries) - {key.name for key in CONFIG_KEYS})
+    if unknown:
+        raise DomainError(f"unknown config keys: {unknown}")
+    values = {key.name: key.default for key in CONFIG_KEYS}
+    for key in CONFIG_KEYS:
+        if key.name not in entries:
+            continue
+        text = entries[key.name]
         try:
-            return kind(entries[key])
+            values[key.name] = key.parse(text)
         except ValueError:
             raise DomainError(
-                f"config key {key!r}: expected {kind.__name__}, got {entries[key]!r}"
+                f"config key {key.name!r}: expected {key.parse.__name__}, got {text!r}"
             ) from None
+        if key.choices is not None and text not in key.choices:
+            raise DomainError(
+                f"config key {key.name!r}: expected one of {key.choices}, got {text!r}"
+            )
+    return {**values, **(overrides or {})}
 
-    fixed = InterferometerConfig(
-        g1=fget("g1", 0.0),
-        g2=fget("g2", 0.0),
-        theta=fget("theta", 0.0),
-        t_s=math.sqrt(fget("ts2", 1.0)),
-        t_i=math.sqrt(fget("ti2", 1.0)),
-        n_i=fget("n_i", 0.0),
+
+def device_from_values(values: dict) -> tuple[InterferometerConfig, ShotNoiseConvention]:
+    """The device and the shot-noise convention that typed config values name."""
+    cfg = InterferometerConfig(
+        g1=values["g1"], g2=values["g2"], theta=values["theta"],
+        t_s=math.sqrt(values["ts2"]), t_i=math.sqrt(values["ti2"]), n_i=values["n_i"],
     )
-    conv = entries.get("snl_convention", ShotNoiseConvention.AFTER_OPA1.value)
-    if conv not in _CONVENTIONS:
-        raise DomainError(
-            f"unknown snl_convention {conv!r}; expected one of {sorted(_CONVENTIONS)}"
-        )
-    metrics_str = entries.get("metrics", "mean")
-    if "axis" not in entries:
+    return cfg, ShotNoiseConvention(values["snl_convention"])
+
+
+def spec_from_config(entries: dict[str, str], overrides: dict | None = None) -> SweepSpec:
+    """Build a sweep spec from parsed config entries, plus typed overrides."""
+    v = config_values(entries, overrides)
+    if v["axis"] is None:
         raise DomainError("config must define an axis")
+    fixed, convention = device_from_values(v)
     return SweepSpec(
-        axis=entries["axis"],
-        lo=fget("lo", 0.0),
-        hi=fget("hi", 1.0),
-        steps=fget("steps", 2, int),
-        fixed=fixed,
-        metrics=tuple(m.strip() for m in metrics_str.split(",") if m.strip()),
-        base_ts2=fget("base_ts2"),
-        base_ti2=fget("base_ti2"),
-        snl_convention=_CONVENTIONS[conv],
-        axis_total=entries.get("axis_total", "false").lower() in ("1", "true", "yes"),
+        axis=v["axis"], lo=v["lo"], hi=v["hi"], steps=v["steps"], fixed=fixed,
+        metrics=v["metrics"], base_ts2=v["base_ts2"], base_ti2=v["base_ti2"],
+        snl_convention=convention, axis_total=v["axis_total"],
     )
 
 
@@ -253,23 +286,7 @@ def sweep_to_json(spec: SweepSpec, rows: list[SweepRow]) -> str:
     """JSON mirror of the CSV output, identical field names."""
     payload = {
         "version": __version__,
-        "spec": {
-            "g1": spec.fixed.g1,
-            "g2": spec.fixed.g2,
-            "theta": spec.fixed.theta,
-            "ts2": spec.fixed.t_s**2,
-            "ti2": spec.fixed.t_i**2,
-            "n_i": spec.fixed.n_i,
-            "snl_convention": spec.snl_convention.value,
-            "axis": spec.axis,
-            "lo": spec.lo,
-            "hi": spec.hi,
-            "steps": spec.steps,
-            "metrics": list(spec.metrics),
-            "base_ts2": spec.base_ts2,
-            "base_ti2": spec.base_ti2,
-            "axis_total": spec.axis_total,
-        },
+        "spec": {key.name: key.get(spec) for key in CONFIG_KEYS},
         "rows": [
             {
                 spec.axis: row.axis_value,

@@ -58,6 +58,19 @@ class TestMeanSignal:
         c = cfg(g1=0.0, g2=0.2, theta=1.1, ti2=0.0)
         assert cf.mean_signal(c) == pytest.approx(math.sinh(0.2) ** 2, rel=1e-12)
 
+    @pytest.mark.parametrize("g", [1.0, 5.0, 10.0])
+    def test_dark_fringe_has_no_cancellation(self, g):
+        # balanced, lossless, unseeded: the exact mean at theta = pi is 0
+        c = cfg(g1=g, g2=g, theta=math.pi)
+        mean = cf.mean_signal(c)
+        assert 0.0 <= mean <= 1e-12 * (c.n_i + 1.0) * cf.shorthand(c).beta
+
+    def test_gain_overflow_is_domain_error(self):
+        with pytest.raises(DomainError, match="overflow"):
+            cf.shorthand(cfg(g1=400.0, g2=0.1))
+        with pytest.raises(DomainError, match="overflow"):
+            cf.mean_signal(cfg(g1=300.0, g2=300.0))
+
 
 class TestVisibility:
     def test_lossless_balanced_is_one(self):

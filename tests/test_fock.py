@@ -144,3 +144,10 @@ def test_suggested_cutoff_bounds():
         InterferometerConfig(g1=0.3, g2=0.3, n_i=4.0)
     )
     assert 16 <= small <= big <= fock.MAX_CUTOFF
+
+
+def test_displace_rejects_mixed_state():
+    mixed = fock.loss(fock.squeeze(fock.vacuum(12), 0.1), 0.8, fock.SIGNAL)
+    assert not mixed.is_pure
+    with pytest.raises(DomainError, match="pure"):
+        fock.displace(mixed, 0.5, fock.IDLER)

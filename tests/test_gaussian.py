@@ -199,3 +199,12 @@ def test_cov_symmetry_and_physicality_along_pipeline():
         assert np.abs(state.cov - state.cov.T).max() < 1e-12
         nu_min = g.symplectic_eigenvalues(state.cov)[0]
         assert nu_min >= 0.5 - 1e-9
+
+
+def test_non_finite_photon_stats_is_domain_error():
+    # g1 = 400 overflows float64 inside the first squeezer
+    cfg = InterferometerConfig(g1=400.0, g2=0.1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        state = g.run_interferometer(cfg)
+    with pytest.raises(DomainError, match="overflow"):
+        g.photon_stats(state)

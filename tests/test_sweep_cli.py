@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -321,3 +323,81 @@ class TestCli:
         err = capsys.readouterr().err
         assert "interference term not resolved" in err
         assert "extremum" not in err
+
+    def test_config_bool_typo_names_the_key(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("g1 = 0.1\ng2 = 0.1\naxis = t_s2\naxis_total = ture\n")
+        assert cli.main(["sweep", "--config", str(cfg)]) == cli.EXIT_USAGE
+        assert "'axis_total'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["sensitivity", "visibility"])
+    def test_gain_overflow_is_usage_error(self, command, capsys):
+        rc = cli.main([command, "--g1", "400", "--g2", "0.1"])
+        assert rc == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "overflow" in captured.err
+        assert "Traceback" not in captured.err
+        assert "NaN" not in captured.out and "nan" not in captured.out
+
+    def test_sweep_overflow_is_a_point_error(self, capsys):
+        rc = cli.main(
+            ["sweep", "--axis", "G1", "--lo", "0", "--hi", "400", "--steps", "3",
+             "--g2", "0.1"]
+        )
+        assert rc == cli.EXIT_POINT_ERRORS
+        data = [
+            ln for ln in capsys.readouterr().out.splitlines()
+            if ln and not ln.startswith("#")
+        ]
+        assert data[1].endswith(",")  # g1 = 0: no error
+        assert data[-1].startswith("400.0,,") and "overflow" in data[-1]
+        assert all(ln.split(",")[1] != "nan" for ln in data[1:])
+
+    def test_axis_total_flag_spellings(self, capsys):
+        argv = ["sweep", "--g1", "0.1", "--g2", "0.1", "--axis", "t_s2",
+                "--base_ts2", "0.5", "--lo", "0.2", "--hi", "0.8"]
+        outs = []
+        for flag in ("--axis-total", "--axis_total"):
+            assert cli.main(argv + [flag]) == cli.EXIT_OK
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert "# axis_total = true" in outs[0]
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+
+class TestConfigKeys:
+    @pytest.mark.parametrize(
+        "text, value",
+        [("1", True), ("Yes", True), ("TRUE", True), ("0", False), ("no", False),
+         ("False", False)],
+    )
+    def test_boolean_words(self, text, value):
+        spec = sweep.spec_from_config({"axis": "theta", "axis_total": text})
+        assert spec.axis_total is value
+
+    def test_flag_overrides_file_value(self):
+        spec = sweep.spec_from_config(
+            {"axis": "theta", "g1": "0.1", "steps": "2"}, {"steps": 7}
+        )
+        assert spec.steps == 7 and spec.fixed.g1 == 0.1
+
+    def test_unknown_key_is_named(self):
+        with pytest.raises(DomainError, match="bogus"):
+            sweep.spec_from_config({"axis": "theta", "bogus": "1"})
+
+    def test_bad_choice_is_named(self):
+        with pytest.raises(DomainError, match="'axis'"):
+            sweep.spec_from_config({"axis": "sideways"})
+
+    def test_json_spec_lists_every_key(self):
+        spec = make_spec(steps=2, metrics=("mean",))
+        payload = json.loads(sweep.sweep_to_json(spec, sweep.run_sweep(spec)))
+        assert sorted(payload["spec"]) == sorted(k.name for k in sweep.CONFIG_KEYS)
+
+    def test_readme_lists_the_config_keys(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        match = re.search(r"with keys\s+`([^`]*)`", readme)
+        assert match is not None
+        assert match.group(1).split() == [k.name for k in sweep.CONFIG_KEYS]
