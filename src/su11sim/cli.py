@@ -10,7 +10,10 @@ import argparse
 import functools
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__, closed_form, metrics, sweep
 from .errors import Su11Error
@@ -144,6 +147,9 @@ def _cmd_validate(args) -> int:
     print(f"validation: {report.points} points, seed {args.seed}")
     for check, dev in sorted(report.worst.items()):
         print(f"  worst {check}: {dev:.3e}")
+        cfg = report.worst_at[check]
+        values = (f"{f.name}={getattr(cfg, f.name)!r}" for f in fields(cfg))
+        print("    at " + " ".join(values))
     for flag in report.flagged:
         print(f"  flagged: {flag}")
     if report.failures:
@@ -168,7 +174,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        # overflow surfaces as a typed error from the engines, not as warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _COMMANDS[args.command](args)
     except Su11Error as exc:
         print(f"su11: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -2,9 +2,10 @@
 
 Everything here is deliberately independent of the Gaussian engine: unitaries
 are applied by exponentiating sparse ladder-operator generators on the
-truncated number basis, and loss is an explicit Kraus sum.  The oracle regime
-is small gains and seeds; cutoff auto-doubles when the tail of the
-photon-number distribution becomes populated.
+truncated number basis, and loss splits a state into a stack of pure Kraus
+branches, so a mixed state is the sum of its branches' projectors.  The
+oracle regime is small gains and seeds; cutoff auto-doubles when the tail of
+the photon-number distribution becomes populated.
 """
 
 from __future__ import annotations
@@ -30,31 +31,29 @@ TAIL_TOL = 1e-10
 
 @dataclass(frozen=True)
 class FockTwoModeState:
-    """Truncated two-mode state: amplitude tensor (D, D) if pure, else a
-    density tensor (D, D, D, D) indexed (n_s, n_i, n_s', n_i')."""
+    """Truncated two-mode state: an amplitude array (D, D) indexed (n_s, n_i)
+    if pure, else a stack (B, D, D) of unnormalised pure branches whose
+    projectors sum to the density matrix."""
 
     tensor: np.ndarray
-    is_pure: bool
+
+    @property
+    def is_pure(self) -> bool:
+        return self.tensor.ndim == 2
 
     @property
     def cutoff(self) -> int:
-        return self.tensor.shape[0]
+        return self.tensor.shape[-1]
 
 
 def vacuum(cutoff: int = DEFAULT_CUTOFF) -> FockTwoModeState:
     amp = np.zeros((cutoff, cutoff), dtype=complex)
     amp[0, 0] = 1.0
-    return FockTwoModeState(tensor=amp, is_pure=True)
+    return FockTwoModeState(tensor=amp)
 
 
 def _annihilator(d: int) -> sp.spmatrix:
     return sp.diags(np.sqrt(np.arange(1, d, dtype=float)), 1)
-
-
-def _squeeze_generator(g: float, d: int) -> sp.spmatrix:
-    a = _annihilator(d)
-    ad = a.T
-    return (g * (sp.kron(ad, ad) - sp.kron(a, a))).tocsr()
 
 
 def _squeeze_blocks(g: float, d: int):
@@ -79,18 +78,11 @@ def _squeeze_blocks(g: float, d: int):
 def _apply_squeeze_unitary(state: FockTwoModeState, g: float) -> FockTwoModeState:
     d = state.cutoff
     blocks = list(_squeeze_blocks(g, d))
-    if state.is_pure:
-        vec = state.tensor.reshape(-1).copy()
-        for idx, block in blocks:
-            vec[idx] = block @ vec[idx]
-        return FockTwoModeState(tensor=vec.reshape(d, d), is_pure=True)
-    rho = state.tensor.reshape(d * d, d * d).copy()
+    # one column per branch: (D^2, B)
+    vec = state.tensor.reshape(-1, d * d).T.copy()
     for idx, block in blocks:
-        rho[idx, :] = block @ rho[idx, :]
-    for idx, block in blocks:
-        # right-multiply by U^dag; U is real orthogonal so U^dag = U^T
-        rho[:, idx] = rho[:, idx] @ block.T
-    return FockTwoModeState(tensor=rho.reshape(d, d, d, d), is_pure=False)
+        vec[idx] = block @ vec[idx]
+    return FockTwoModeState(tensor=vec.T.reshape(state.tensor.shape))
 
 
 def _displace_generator(alpha: complex, d: int, mode: str) -> sp.spmatrix:
@@ -104,17 +96,14 @@ def _displace_generator(alpha: complex, d: int, mode: str) -> sp.spmatrix:
 def _apply_unitary(state: FockTwoModeState, gen: sp.spmatrix) -> FockTwoModeState:
     d = state.cutoff
     vec = expm_multiply(gen, state.tensor.reshape(-1))
-    return FockTwoModeState(tensor=vec.reshape(d, d), is_pure=True)
+    return FockTwoModeState(tensor=vec.reshape(d, d))
 
 
 def number_distribution(state: FockTwoModeState, mode: str = SIGNAL) -> np.ndarray:
     """Marginal photon-number distribution of one mode."""
-    if state.is_pure:
-        prob = np.abs(state.tensor) ** 2
-        return prob.sum(axis=1) if mode == SIGNAL else prob.sum(axis=0)
-    if mode == SIGNAL:
-        return np.einsum("abab->a", state.tensor).real
-    return np.einsum("abab->b", state.tensor).real
+    prob = np.abs(state.tensor) ** 2
+    prob = prob.sum(axis=-1 if mode == SIGNAL else -2)
+    return prob.reshape(-1, state.cutoff).sum(axis=0)
 
 
 def tail_population(state: FockTwoModeState) -> float:
@@ -126,13 +115,9 @@ def tail_population(state: FockTwoModeState) -> float:
 
 def _pad(state: FockTwoModeState, new_cutoff: int) -> FockTwoModeState:
     d = state.cutoff
-    if state.is_pure:
-        amp = np.zeros((new_cutoff, new_cutoff), dtype=complex)
-        amp[:d, :d] = state.tensor
-        return FockTwoModeState(tensor=amp, is_pure=True)
-    rho = np.zeros((new_cutoff,) * 4, dtype=complex)
-    rho[:d, :d, :d, :d] = state.tensor
-    return FockTwoModeState(tensor=rho, is_pure=False)
+    amp = np.zeros(state.tensor.shape[:-2] + (new_cutoff, new_cutoff), dtype=complex)
+    amp[..., :d, :d] = state.tensor
+    return FockTwoModeState(tensor=amp)
 
 
 def _with_tail_retry(state, op, label):
@@ -177,62 +162,38 @@ def phase_shift(
     state: FockTwoModeState, theta: float, mode: str = SIGNAL
 ) -> FockTwoModeState:
     """Phase shift exp(i theta n) on one mode (signal by default)."""
-    d = state.cutoff
-    ph = np.exp(1j * theta * np.arange(d))
-    if state.is_pure:
-        amp = state.tensor * (ph[:, None] if mode == SIGNAL else ph[None, :])
-        return FockTwoModeState(tensor=amp, is_pure=True)
-    if mode == SIGNAL:
-        rho = state.tensor * ph[:, None, None, None] * ph.conj()[None, None, :, None]
-    else:
-        rho = state.tensor * ph[None, :, None, None] * ph.conj()[None, None, None, :]
-    return FockTwoModeState(tensor=rho, is_pure=False)
-
-
-def _to_density(state: FockTwoModeState) -> FockTwoModeState:
-    if not state.is_pure:
-        return state
-    rho = np.einsum("ab,cd->abcd", state.tensor, state.tensor.conj())
-    return FockTwoModeState(tensor=rho, is_pure=False)
+    ph = np.exp(1j * theta * np.arange(state.cutoff))
+    ph = ph[:, None] if mode == SIGNAL else ph
+    return FockTwoModeState(tensor=state.tensor * ph)
 
 
 def loss(state: FockTwoModeState, t: float, mode: str) -> FockTwoModeState:
     """Attenuation channel with amplitude transmission t on one mode.
 
-    Kraus sum in the number basis:
-        rho'[m, m'] = sum_k t^(m+m') (1-t^2)^k
-                      sqrt(C(m+k, k) C(m'+k, k)) rho[m+k, m'+k]
+    Each branch splits into D Kraus branches; Kraus operator k loses k photons:
+        A_k |m+k> = sqrt(C(m+k, k)) t^m (1-t^2)^(k/2) |m>
     """
     if not 0.0 <= t <= 1.0:
         raise DomainError(f"transmission must lie in [0, 1], got {t}")
     if t == 1.0:
         return state
-    state = _to_density(state)
     d = state.cutoff
-    rho = state.tensor
-    out = np.zeros_like(rho)
+    amp = state.tensor.reshape(-1, d, d)
+    out = np.zeros((d,) + amp.shape, dtype=complex)
     m = np.arange(d, dtype=float)
     for k in range(d):
         mk = m[: d - k]
-        root = np.sqrt(comb(mk + k, k))
-        w = (t ** (mk[:, None] + mk[None, :])) * (1.0 - t * t) ** k
-        w *= root[:, None] * root[None, :]
+        w = np.sqrt(comb(mk + k, k)) * t**mk * (1.0 - t * t) ** (k / 2)
         if mode == SIGNAL:
-            out[: d - k, :, : d - k, :] += (
-                w[:, None, :, None] * rho[k:, :, k:, :]
-            )
+            out[k, :, : d - k, :] = w[:, None] * amp[:, k:, :]
         else:
-            out[:, : d - k, :, : d - k] += (
-                w[None, :, None, :] * rho[:, k:, :, k:]
-            )
-    return FockTwoModeState(tensor=out, is_pure=False)
+            out[k, :, :, : d - k] = w * amp[:, :, k:]
+    return FockTwoModeState(tensor=out.reshape(-1, d, d))
 
 
 def norm_deficit(state: FockTwoModeState) -> float:
-    """1 - (norm or trace); positive values are truncation leakage."""
-    if state.is_pure:
-        return 1.0 - float(np.sum(np.abs(state.tensor) ** 2))
-    return 1.0 - float(np.einsum("abab->", state.tensor).real)
+    """1 - trace; positive values are truncation leakage."""
+    return 1.0 - float(np.sum(np.abs(state.tensor) ** 2))
 
 
 def photon_stats(state: FockTwoModeState, mode: str = SIGNAL) -> PhotonStats:

@@ -455,6 +455,7 @@ VIS_RTOL = 1e-10
 class ValidationReport:
     points: int
     worst: dict[str, float]
+    worst_at: dict[str, InterferometerConfig]  # config of each worst deviation
     flagged: list[str]
     failures: list[str]
 
@@ -517,6 +518,7 @@ def validate(seed: int, points: int) -> ValidationReport:
         raise DomainError(f"points must lie in [0, 1e4], got {points}")
     cfgs = random_oracle_configs(seed, points)
     worst: dict[str, float] = {}
+    worst_at: dict[str, InterferometerConfig] = {}
     flagged: list[str] = []
     failures: list[str] = []
     results = [_validate_point(c) for c in cfgs]
@@ -533,6 +535,7 @@ def validate(seed: int, points: int) -> ValidationReport:
         for check, dev in devs.items():
             if dev > worst.get(check, 0.0):
                 worst[check] = dev
+                worst_at[check] = cfg
             if dev > tol[check]:
                 failures.append(
                     f"{check}: deviation {dev:.3e} > {tol[check]:.0e} at "
@@ -540,5 +543,6 @@ def validate(seed: int, points: int) -> ValidationReport:
                     f"t_s={cfg.t_s:.6f} t_i={cfg.t_i:.6f} n_i={cfg.n_i:.6f}"
                 )
     return ValidationReport(
-        points=points, worst=worst, flagged=flagged, failures=failures
+        points=points, worst=worst, worst_at=worst_at, flagged=flagged,
+        failures=failures,
     )

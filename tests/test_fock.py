@@ -151,3 +151,65 @@ def test_displace_rejects_mixed_state():
     assert not mixed.is_pure
     with pytest.raises(DomainError, match="pure"):
         fock.displace(mixed, 0.5, fock.IDLER)
+
+
+def _dense_reference_marginals(d):
+    """Density-matrix reference for the mixture test below: rho is a
+    D^2 x D^2 matrix, unitaries are dense expm of the full generators and
+    loss is a sum over explicit Kraus matrices."""
+    from scipy.linalg import expm
+    from scipy.special import factorial
+
+    a = np.diag(np.sqrt(np.arange(1.0, d)), 1)
+    eye = np.eye(d)
+
+    def on_mode(op, mode):
+        return np.kron(op, eye) if mode == fock.SIGNAL else np.kron(eye, op)
+
+    def unitary(rho, u):
+        return u @ rho @ u.conj().T
+
+    def squeeze(rho, g):
+        return unitary(rho, expm(g * (np.kron(a.T, a.T) - np.kron(a, a))))
+
+    def phase(rho, theta, mode):
+        ph = np.diag(np.exp(1j * theta * np.arange(d)))
+        return unitary(rho, on_mode(ph, mode))
+
+    def loss(rho, t, mode):
+        # A_k = sqrt((1 - t^2)^k / k!) t^n a^k
+        t_n = np.diag(t ** np.arange(d))
+        kraus = [
+            np.sqrt((1.0 - t * t) ** k / factorial(k))
+            * t_n @ np.linalg.matrix_power(a, k)
+            for k in range(d)
+        ]
+        assert np.allclose(sum(k.T @ k for k in kraus), eye, atol=1e-14)
+        return sum(unitary(rho, on_mode(k, mode)) for k in kraus)
+
+    alpha = 0.4
+    vec = expm(on_mode(alpha * (a.T - a), fock.IDLER))[:, 0]
+    rho = np.outer(vec, vec.conj())
+    rho = squeeze(rho, 0.15)
+    rho = loss(rho, 0.7, fock.SIGNAL)
+    rho = loss(rho, 0.5, fock.IDLER)
+    rho = phase(rho, 0.9, fock.SIGNAL)
+    rho = phase(rho, -0.4, fock.IDLER)
+    rho = squeeze(rho, 0.2)
+    diag = np.diag(rho).real.reshape(d, d)
+    return diag.sum(axis=1), diag.sum(axis=0)
+
+
+def test_mixture_matches_dense_density_reference():
+    d = 12
+    st = fock.displace(fock.vacuum(d), 0.4, fock.IDLER)
+    st = fock.squeeze(st, 0.15)
+    st = fock.loss(st, 0.7, fock.SIGNAL)
+    st = fock.loss(st, 0.5, fock.IDLER)
+    st = fock.phase_shift(st, 0.9, fock.SIGNAL)
+    st = fock.phase_shift(st, -0.4, fock.IDLER)
+    st = fock.squeeze(st, 0.2)
+    assert not st.is_pure and st.cutoff == d
+    p_s, p_i = _dense_reference_marginals(d)
+    assert np.abs(fock.number_distribution(st, fock.SIGNAL) - p_s).max() < 1e-12
+    assert np.abs(fock.number_distribution(st, fock.IDLER) - p_i).max() < 1e-12

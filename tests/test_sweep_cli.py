@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import pytest
@@ -365,6 +366,40 @@ class TestCli:
 
     def test_parser_is_built_once(self):
         assert cli.build_parser() is cli.build_parser()
+
+    def test_gain_overflow_prints_one_error_line_and_no_warnings(self, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = cli.main(["sensitivity", "--g1", "400", "--g2", "0.1"])
+        assert rc == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("su11: error:")
+        assert caught == []
+
+    def test_sweep_overflow_leaves_stderr_empty(self, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = cli.main(
+                ["sweep", "--axis", "G1", "--lo", "0", "--hi", "400", "--steps", "3",
+                 "--g2", "0.1"]
+            )
+        assert rc == cli.EXIT_POINT_ERRORS
+        assert capsys.readouterr().err == ""
+        assert caught == []
+
+    def test_validate_names_the_config_of_each_worst_deviation(self, capsys):
+        assert cli.main(["validate", "--seed", "3", "--points", "4"]) == cli.EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        worst = [i for i, ln in enumerate(lines) if ln.startswith("  worst ")]
+        assert len(worst) == 5
+        for i in worst:
+            check, dev = re.fullmatch(r"  worst (\w+): (\S+)", lines[i]).groups()
+            at = lines[i + 1]
+            assert at.startswith("    at ")
+            values = dict(item.split("=") for item in at.split()[1:])
+            cfg = InterferometerConfig(**{k: float(v) for k, v in values.items()})
+            devs, _ = sweep._validate_point(cfg)
+            assert f"{devs[check]:.3e}" == dev
 
 
 class TestConfigKeys:
