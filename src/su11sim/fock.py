@@ -1,11 +1,12 @@
 """Brute-force truncated Fock-space oracle for the two-mode pipeline.
 
-Everything here is deliberately independent of the Gaussian engine: unitaries
-are applied by exponentiating sparse ladder-operator generators on the
-truncated number basis, and loss splits a state into a stack of pure Kraus
-branches, so a mixed state is the sum of its branches' projectors.  The
-oracle regime is small gains and seeds; cutoff auto-doubles when the tail of
-the photon-number distribution becomes populated.
+Everything here is deliberately independent of the Gaussian engine: the
+two-mode squeeze is exponentiated block by block through the eigendecomposition
+of a real symmetric tridiagonal matrix, the displacement by a sparse
+exponential of its ladder-operator generator, and loss splits a state into a
+stack of pure Kraus branches, so a mixed state is the sum of its branches'
+projectors.  The oracle regime is small gains and seeds; cutoff auto-doubles
+when the tail of the photon-number distribution becomes populated.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import math
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
 from scipy.special import comb
 
@@ -61,7 +61,11 @@ def _squeeze_blocks(g: float, d: int):
 
     The generator conserves n_s - n_i, so exp(K) is block diagonal over that
     offset; each block is the exponential of a small antisymmetric tridiagonal
-    matrix.  Yields (flat-index array, dense block) pairs.
+    matrix gen, with `sub` below the diagonal and -`sub` above it.  With
+    P = diag(i^k), gen = P (-i T) P^-1 for the real symmetric tridiagonal T
+    that has `sub` on both off-diagonals, so from T = V diag(w) V^T:
+        exp(gen) = Re[P V diag(e^{-iw}) V^T P^-1].
+    Yields (flat-index array, dense block) pairs.
     """
     for off in range(-(d - 1), d):
         ns = np.arange(max(0, off), min(d, d + off))
@@ -71,8 +75,9 @@ def _squeeze_blocks(g: float, d: int):
             yield idx, np.ones((1, 1))
             continue
         sub = g * np.sqrt((ns[:-1] + 1.0) * (ns[:-1] + 1.0 - off))
-        gen = np.diag(sub, -1) - np.diag(sub, 1)
-        yield idx, expm(gen)
+        w, v = np.linalg.eigh(np.diag(sub, -1) + np.diag(sub, 1))
+        pv = v * np.array([1, 1j, -1, -1j])[np.arange(m) % 4, None]  # P V
+        yield idx, ((pv * np.exp(-1j * w)) @ pv.conj().T).real
 
 
 def _apply_squeeze_unitary(state: FockTwoModeState, g: float) -> FockTwoModeState:
@@ -107,10 +112,11 @@ def number_distribution(state: FockTwoModeState, mode: str = SIGNAL) -> np.ndarr
 
 
 def tail_population(state: FockTwoModeState) -> float:
-    """Total probability sitting in the top two photon-number shells of either mode."""
-    p_s = number_distribution(state, SIGNAL)
-    p_i = number_distribution(state, IDLER)
-    return float(p_s[-2:].sum() + p_i[-2:].sum())
+    """Total probability sitting in the top two photon-number shells of either
+    mode: the signal and idler tail masses added, so the corner counts twice."""
+    d = state.cutoff
+    prob = (np.abs(state.tensor) ** 2).reshape(-1, d, d).sum(axis=0)
+    return float(prob[-2:].sum() + prob[:, -2:].sum())
 
 
 def _pad(state: FockTwoModeState, new_cutoff: int) -> FockTwoModeState:
@@ -121,17 +127,19 @@ def _pad(state: FockTwoModeState, new_cutoff: int) -> FockTwoModeState:
 
 
 def _with_tail_retry(state, op, label):
-    """Apply op; if the output populates the cutoff tail, pad the input and redo."""
+    """Apply op; if the output populates the cutoff tail, pad the input to twice
+    its cutoff, capped at MAX_CUTOFF, and redo."""
     while True:
         out = op(state)
-        if tail_population(out) < TAIL_TOL:
+        tail = tail_population(out)
+        if tail < TAIL_TOL:
             return out
-        if 2 * state.cutoff > MAX_CUTOFF:
+        if state.cutoff >= MAX_CUTOFF:
             raise TruncationError(
-                f"{label}: tail population {tail_population(out):.2e} at max "
-                f"cutoff {MAX_CUTOFF}"
+                f"{label}: tail population {tail:.2e} at cutoff {state.cutoff} "
+                f"(max cutoff {MAX_CUTOFF})"
             )
-        state = _pad(state, 2 * state.cutoff)
+        state = _pad(state, min(2 * state.cutoff, MAX_CUTOFF))
 
 
 def squeeze(state: FockTwoModeState, g: float) -> FockTwoModeState:

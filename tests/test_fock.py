@@ -138,6 +138,50 @@ def test_truncation_error_at_max_cutoff(monkeypatch):
         fock.displace(fock.vacuum(16), math.sqrt(8.0), fock.IDLER)
 
 
+def test_cutoff_doubling_stops_at_max_cutoff():
+    # 40 -> 80 -> 128: the last step is capped at MAX_CUTOFF, not skipped
+    st = fock.squeeze(fock.vacuum(40), 1.5)
+    assert st.cutoff == fock.MAX_CUTOFF == 128
+    assert fock.tail_population(st) < fock.TAIL_TOL
+
+
+def test_truncation_error_names_the_cutoff_tried(monkeypatch):
+    monkeypatch.setattr(fock, "MAX_CUTOFF", 24)
+    with pytest.raises(TruncationError, match=r"at cutoff 24 "):
+        fock.displace(fock.vacuum(16), math.sqrt(8.0), fock.IDLER)
+
+
+def test_tail_population_is_both_marginals_top_two_shells():
+    # squeezed past its cutoff on purpose (no retry), then lossy on both modes
+    st = fock._apply_squeeze_unitary(fock.vacuum(8), 0.8)
+    st = fock.loss(st, 0.7, fock.SIGNAL)
+    st = fock.loss(st, 0.6, fock.IDLER)
+    assert not st.is_pure
+    p_s = fock.number_distribution(st, fock.SIGNAL)
+    p_i = fock.number_distribution(st, fock.IDLER)
+    ref = p_s[-2:].sum() + p_i[-2:].sum()
+    assert ref > 1e-4
+    assert fock.tail_population(st) == pytest.approx(ref, rel=1e-15)
+
+
+@pytest.mark.parametrize("d", [16, 36, 64, 128])
+@pytest.mark.parametrize("g", [0.05, 0.3, 1.0, 1.5])
+def test_squeeze_blocks_orthogonal_and_match_expm(g, d):
+    from scipy.linalg import expm
+
+    blocks = list(fock._squeeze_blocks(g, d))
+    assert len(blocks) == 2 * d - 1
+    for idx, block in blocks:
+        ns, ni = np.divmod(idx, d)
+        off = ns[0] - ni[0]
+        assert np.all(ns - ni == off)
+        sub = g * np.sqrt((ns[:-1] + 1.0) * (ns[:-1] + 1.0 - off))
+        ref = expm(np.diag(sub, -1) - np.diag(sub, 1))
+        assert block.dtype == float
+        assert np.abs(block @ block.T - np.eye(len(idx))).max() < 1e-13
+        assert np.abs(block - ref).max() < 1e-11
+
+
 def test_suggested_cutoff_bounds():
     small = fock.suggested_cutoff(InterferometerConfig(g1=0.05, g2=0.05))
     big = fock.suggested_cutoff(
