@@ -132,26 +132,29 @@ def mean_photons(state: GaussianTwoModeState, mode: str = SIGNAL) -> float:
     return photon_stats(state, mode).mean
 
 
-def run_interferometer(cfg: InterferometerConfig) -> GaussianTwoModeState:
-    """Propagate vacuum through seed -> OPA1 -> loss -> phase -> OPA2."""
-    state = vacuum_state()
-    state = seed_idler(state, cfg.n_i)
-    state = apply_squeezer(state, cfg.g1)
-    state = apply_loss(state, cfg.t_s, cfg.t_i)
-    state = apply_phase(state, cfg.theta, SIGNAL)
-    state = apply_squeezer(state, cfg.g2)
-    return state
-
-
 def state_after_first_opa(
     cfg: InterferometerConfig, include_loss: bool = False
 ) -> GaussianTwoModeState:
-    """Mid-pipeline tap: state after the seed and first OPA (optionally after loss)."""
+    """The pipeline up to the phase: seed, then the first OPA, then (optionally)
+    the internal loss."""
     state = seed_idler(vacuum_state(), cfg.n_i)
     state = apply_squeezer(state, cfg.g1)
     if include_loss:
         state = apply_loss(state, cfg.t_s, cfg.t_i)
     return state
+
+
+def phase_then_second_opa(
+    state: GaussianTwoModeState, theta: float, g2: float
+) -> GaussianTwoModeState:
+    """The pipeline tail: signal phase theta, then the second OPA of gain g2."""
+    return apply_squeezer(apply_phase(state, theta, SIGNAL), g2)
+
+
+def run_interferometer(cfg: InterferometerConfig) -> GaussianTwoModeState:
+    """Propagate vacuum through seed -> OPA1 -> loss -> phase -> OPA2."""
+    state = state_after_first_opa(cfg, include_loss=True)
+    return phase_then_second_opa(state, cfg.theta, cfg.g2)
 
 
 def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:

@@ -2,8 +2,10 @@
 sensitivity, shot-noise normalization and the optimal working point.
 
 With real parameters the signal photon-number mean and variance are
-polynomials of degree one and two in cos(theta); three Gaussian runs fix them
-(PhaseResponse), and the slope, sensitivity and optimum follow in closed form.
+polynomials of degree one and two in cos(theta).  One Gaussian propagation to
+the phase, followed by three phase + OPA2 tails at theta = 0, pi/2 and pi,
+fixes them (PhaseResponse); the visibility is m1/m0, and the slope,
+sensitivity and optimum follow in closed form.
 """
 
 from __future__ import annotations
@@ -52,23 +54,16 @@ class SensitivityReport:
 
 
 def visibility_numeric(cfg: InterferometerConfig) -> float:
-    """Interference contrast (mean at theta=0 minus at theta=pi over their sum),
-    with both means computed by the Gaussian engine."""
-    m0 = gaussian.mean_photons(gaussian.run_interferometer(cfg.with_theta(0.0)))
-    mpi = gaussian.mean_photons(gaussian.run_interferometer(cfg.with_theta(math.pi)))
-    total = m0 + mpi
-    if total <= 0.0:
-        raise UndefinedVisibilityError(
-            f"zero total flux for g1={cfg.g1}, g2={cfg.g2}"
-        )
-    return (m0 - mpi) / total
+    """Interference contrast of the Gaussian phase response, m1/m0."""
+    return phase_response(cfg).visibility()
 
 
 @dataclass(frozen=True)
 class PhaseResponse:
-    """Signal photon-number statistics as functions of c = cos(theta):
-    <N_s> = m0 + m1 c and Var N_s = v0 + v1 c + v2 c^2."""
+    """Signal photon-number statistics of device cfg as functions of
+    c = cos(theta): <N_s> = m0 + m1 c and Var N_s = v0 + v1 c + v2 c^2."""
 
+    cfg: InterferometerConfig
     m0: float
     m1: float
     v0: float
@@ -81,6 +76,15 @@ class PhaseResponse:
     def variance(self, theta: float) -> float:
         c = math.cos(theta)
         return self.v0 + (self.v1 + self.v2 * c) * c
+
+    def visibility(self) -> float:
+        """Interference contrast, the mean at theta=0 minus at theta=pi over
+        their sum: m1/m0."""
+        if self.m0 <= 0.0:
+            raise UndefinedVisibilityError(
+                f"zero total flux for g1={self.cfg.g1}, g2={self.cfg.g2}"
+            )
+        return self.m1 / self.m0
 
     def slope(self, theta: float) -> float:
         return -self.m1 * math.sin(theta)
@@ -108,12 +112,15 @@ class PhaseResponse:
 
 
 def phase_response(cfg: InterferometerConfig) -> PhaseResponse:
-    """Mean and variance coefficients from Gaussian runs at theta = 0, pi/2, pi."""
+    """Mean and variance coefficients from one propagation to the phase and
+    the phase + OPA2 tail at theta = 0, pi/2, pi."""
+    before_phase = gaussian.state_after_first_opa(cfg, include_loss=True)
     s0, sh, sp = (
-        gaussian.photon_stats(gaussian.run_interferometer(cfg.with_theta(theta)))
+        gaussian.photon_stats(gaussian.phase_then_second_opa(before_phase, theta, cfg.g2))
         for theta in (0.0, 0.5 * math.pi, math.pi)
     )
     return PhaseResponse(
+        cfg=cfg,
         m0=sh.mean,
         m1=0.5 * (s0.mean - sp.mean),
         v0=sh.variance,
@@ -122,9 +129,8 @@ def phase_response(cfg: InterferometerConfig) -> PhaseResponse:
     )
 
 
-def _sensing_response(cfg: InterferometerConfig) -> PhaseResponse:
+def _sensing_response(r: PhaseResponse) -> PhaseResponse:
     """The phase response, rejected when it carries no resolved fringe."""
-    r = phase_response(cfg)
     if abs(r.m1) <= INTERFERENCE_RTOL * abs(r.m0):
         raise DomainError(
             f"interference term not resolved: fringe amplitude {abs(r.m1):.3g} "
@@ -140,7 +146,7 @@ def mean_derivative(cfg: InterferometerConfig, theta0: float) -> float:
 
 def sensitivity(cfg: InterferometerConfig, theta0: float) -> float:
     """Error-propagation phase variance Var(N_s) / |d<N_s>/d theta|^2 at theta0."""
-    return _sensing_response(cfg).dtheta2(theta0)
+    return _sensing_response(phase_response(cfg)).dtheta2(theta0)
 
 
 def shot_noise_level(
@@ -159,18 +165,18 @@ def shot_noise_level(
     return 1.0 / n_s
 
 
-def optimal_sensitivity(
-    cfg: InterferometerConfig,
-    convention: ShotNoiseConvention = ShotNoiseConvention.AFTER_OPA1,
+def sensitivity_report(
+    response: PhaseResponse, convention: ShotNoiseConvention
 ) -> SensitivityReport:
-    """Minimize the phase variance over the working point theta0 in (0, pi)."""
-    if cfg.g2 <= 0.0:
+    """Minimize the phase variance of a given response over the working point
+    theta0 in (0, pi) and compare it with the shot-noise level."""
+    if response.cfg.g2 <= 0.0:
         raise DomainError("g2 must be > 0: no interference at the second OPA")
-    response = _sensing_response(cfg)
+    _sensing_response(response)
     theta_opt = response.optimal_theta()
     dtheta2 = response.dtheta2(theta_opt)
 
-    snl = shot_noise_level(cfg, convention)
+    snl = shot_noise_level(response.cfg, convention)
     db = 10.0 * math.log10(snl / dtheta2)
     return SensitivityReport(
         theta_opt=float(theta_opt),
@@ -179,3 +185,11 @@ def optimal_sensitivity(
         db_vs_shotnoise=float(db),
         snl_convention=convention,
     )
+
+
+def optimal_sensitivity(
+    cfg: InterferometerConfig,
+    convention: ShotNoiseConvention = ShotNoiseConvention.AFTER_OPA1,
+) -> SensitivityReport:
+    """Minimize the phase variance over the working point theta0 in (0, pi)."""
+    return sensitivity_report(phase_response(cfg), convention)

@@ -105,14 +105,16 @@ def _evaluate_point(spec: SweepSpec, x: float) -> SweepRow:
         cfg = config_at(spec, x)
         if "mean" in spec.metrics:
             values["mean"] = gaussian.mean_photons(gaussian.run_interferometer(cfg))
-        if "visibility" in spec.metrics:
-            values["visibility"] = metrics.visibility_numeric(cfg)
-        if "dtheta2" in spec.metrics or "db_vs_shotnoise" in spec.metrics:
-            report = metrics.optimal_sensitivity(cfg, spec.snl_convention)
-            if "dtheta2" in spec.metrics:
-                values["dtheta2"] = report.dtheta2
-            if "db_vs_shotnoise" in spec.metrics:
-                values["db_vs_shotnoise"] = report.db_vs_shotnoise
+        if set(spec.metrics) - {"mean"}:
+            # every metric but the mean reads the point's one phase response
+            response = metrics.phase_response(cfg)
+            if "visibility" in spec.metrics:
+                values["visibility"] = response.visibility()
+            if "dtheta2" in spec.metrics or "db_vs_shotnoise" in spec.metrics:
+                report = metrics.sensitivity_report(response, spec.snl_convention)
+                for m in ("dtheta2", "db_vs_shotnoise"):
+                    if m in values:
+                        values[m] = getattr(report, m)
     except Su11Error as exc:
         return SweepRow(axis_value=float(x), values=values, error=str(exc))
     return SweepRow(axis_value=float(x), values=values, error=None)
@@ -311,11 +313,11 @@ def _figure_series(
     name: str,
     convention: ShotNoiseConvention,
     axis_total: bool,
-) -> tuple[np.ndarray, dict[str, SweepSpec], dict]:
-    """Grid, per-curve sweep specs and extra metadata for one figure preset."""
+) -> tuple[dict[str, SweepSpec], dict]:
+    """Per-curve sweep specs, all on one grid, and extra metadata for one
+    figure preset."""
     if name in ("fig2a", "fig2b"):
         n_i = 0.0 if name == "fig2a" else 50.0
-        xs = np.linspace(0.01, 1.0, 100)
         mk = lambda axis: SweepSpec(
             axis=axis, lo=0.01, hi=1.0, steps=100,
             fixed=InterferometerConfig(g1=_LOW_GAIN, g2=_LOW_GAIN, n_i=n_i),
@@ -326,13 +328,12 @@ def _figure_series(
             "v_idler_loss": mk("t_i2"),
             "v_symmetric_loss": mk("t_both2"),
         }
-        return xs, series, {}
+        return series, {}
     if name in ("fig3a", "fig3b"):
         n_i = 0.0 if name == "fig3a" else 50.0
-        xs = np.linspace(0.25, 1.0, 40)
+        fixed = InterferometerConfig(g1=_LOW_GAIN, g2=_LOW_GAIN, n_i=n_i)
         mk = lambda axis: SweepSpec(
-            axis=axis, lo=0.25, hi=1.0, steps=40,
-            fixed=InterferometerConfig(g1=_LOW_GAIN, g2=_LOW_GAIN, n_i=n_i),
+            axis=axis, lo=0.25, hi=1.0, steps=40, fixed=fixed,
             metrics=("db_vs_shotnoise",), snl_convention=convention,
         )
         series = {
@@ -340,14 +341,11 @@ def _figure_series(
             "db_idler_loss": mk("t_i2"),
             "db_symmetric_loss": mk("t_both2"),
         }
-        cfg = InterferometerConfig(g1=_LOW_GAIN, g2=_LOW_GAIN, n_i=n_i)
         ideal = closed_form.ideal_sensitivity(_LOW_GAIN, n_i)
-        snl = metrics.shot_noise_level(cfg, convention)
-        extra = {"db_ideal_limit": 10.0 * math.log10(snl / ideal)}
-        return xs, series, extra
+        snl = metrics.shot_noise_level(fixed, convention)
+        return series, {"db_ideal_limit": 10.0 * math.log10(snl / ideal)}
     if name in ("fig4a", "fig4b"):
         axis = "t_s2" if name == "fig4a" else "t_i2"
-        xs = np.linspace(0.01, 1.0, 100)
         mk = lambda n_i: SweepSpec(
             axis=axis, lo=0.01, hi=1.0, steps=100,
             fixed=InterferometerConfig(g1=_UNBALANCED["g1"], g2=_UNBALANCED["g2"], n_i=n_i),
@@ -356,7 +354,7 @@ def _figure_series(
             snl_convention=convention, axis_total=axis_total,
         )
         series = {"v_spontaneous": mk(0.0), "v_stimulated": mk(1.0e4)}
-        return xs, series, {}
+        return series, {}
     raise DomainError(f"unknown figure {name!r}; expected one of {FIGURES}")
 
 
@@ -366,9 +364,9 @@ def figure_table(
     axis_total: bool = False,
 ) -> tuple[list[str], list[list[float | None]], list[str], dict]:
     """Evaluate one figure preset; returns (columns, rows, errors, extra)."""
-    xs, series, extra = _figure_series(name, convention, axis_total)
+    series, extra = _figure_series(name, convention, axis_total)
+    xs = grid(next(iter(series.values())))
     results = {label: run_sweep(spec) for label, spec in series.items()}
-    metric = {label: spec.metrics[0] for label, spec in series.items()}
     cols = ["transmission", *results.keys()]
     table: list[list[float | None]] = []
     errors: list[str] = []
@@ -376,7 +374,7 @@ def figure_table(
         row: list[float | None] = [float(x)]
         for label in results:
             r = results[label][i]
-            row.append(r.values.get(metric[label]))
+            row.append(r.values.get(series[label].metrics[0]))
             if r.error:
                 errors.append(f"{label}@{x:g}: {r.error}")
         table.append(row)

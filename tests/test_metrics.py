@@ -172,8 +172,8 @@ class TestPhaseResponse:
             assert report.dtheta2 <= brute * (1.0 + 1e-12)
             assert report.dtheta2 == pytest.approx(brute, rel=1e-9)
 
-    def test_optimum_costs_three_gaussian_runs_and_no_closed_form(self, monkeypatch):
-        counts = {"gaussian": 0, "closed_form": 0}
+    def test_optimum_costs_one_loss_three_phases_and_no_closed_form(self, monkeypatch):
+        counts = {"loss": 0, "phase": 0, "closed_form": 0}
 
         def counting(key, fn):
             def wrapper(*args, **kwargs):
@@ -181,15 +181,14 @@ class TestPhaseResponse:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(
-            gaussian, "run_interferometer",
-            counting("gaussian", gaussian.run_interferometer),
-        )
+        monkeypatch.setattr(gaussian, "apply_loss", counting("loss", gaussian.apply_loss))
+        monkeypatch.setattr(gaussian, "apply_phase", counting("phase", gaussian.apply_phase))
         for name, fn in list(vars(cf).items()):
             if inspect.isfunction(fn) and fn.__module__ == cf.__name__:
                 monkeypatch.setattr(cf, name, counting("closed_form", fn))
         m.optimal_sensitivity(cfg(ti2=0.75, n_i=50.0))
-        assert counts == {"gaussian": 3, "closed_form": 0}
+        # one propagation to the phase, then three phase + OPA2 tails
+        assert counts == {"loss": 1, "phase": 3, "closed_form": 0}
 
     def test_unresolved_interference_rejected(self):
         for c in (cfg(ts2=0.0), cfg(g1=0.0), cfg(ts2=1e-30)):

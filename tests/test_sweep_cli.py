@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from su11sim import InterferometerConfig, cli, sweep
+from su11sim import InterferometerConfig, cli, gaussian, sweep
 from su11sim.errors import DomainError
 from su11sim.metrics import ShotNoiseConvention
 
@@ -93,13 +93,34 @@ class TestRunSweep:
         assert all(r.error is not None for r in rows)
         assert all(r.values["visibility"] is None for r in rows)
 
-    def test_thread_count_does_not_change_rows(self, monkeypatch):
+    def test_two_runs_emit_identical_csv(self):
         spec = make_spec(steps=9, metrics=("mean", "visibility"))
-        monkeypatch.setenv("SU11_THREADS", "1")
-        serial = sweep.run_sweep(spec)
-        monkeypatch.setenv("SU11_THREADS", "4")
-        threaded = sweep.run_sweep(spec)
-        assert sweep.sweep_to_csv(spec, serial) == sweep.sweep_to_csv(spec, threaded)
+        first = sweep.run_sweep(spec)
+        second = sweep.run_sweep(spec)
+        assert sweep.sweep_to_csv(spec, first) == sweep.sweep_to_csv(spec, second)
+
+    @pytest.mark.parametrize(
+        "wanted, loss, phase",
+        [(("visibility", "db_vs_shotnoise"), 1, 3),
+         (("mean", "visibility", "dtheta2", "db_vs_shotnoise"), 2, 4)],
+    )
+    def test_fringe_metrics_share_one_phase_response(self, monkeypatch, wanted, loss, phase):
+        counts = {"loss": 0, "phase": 0}
+
+        def counting(key, fn):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(gaussian, "apply_loss", counting("loss", gaussian.apply_loss))
+        monkeypatch.setattr(gaussian, "apply_phase", counting("phase", gaussian.apply_phase))
+        spec = make_spec(axis="t_s2", lo=0.25, hi=1.0, steps=4, metrics=wanted)
+        rows = sweep.run_sweep(spec)
+        assert all(r.error is None for r in rows)
+        # per point: the mean is one run at its own theta; every other metric
+        # reads one propagation to the phase and three phase + OPA2 tails
+        assert counts == {"loss": 4 * loss, "phase": 4 * phase}
 
 
 class TestSerialization:
