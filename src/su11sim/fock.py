@@ -1,12 +1,13 @@
 """Brute-force truncated Fock-space oracle for the two-mode pipeline.
 
-Everything here is deliberately independent of the Gaussian engine: the
-two-mode squeeze is exponentiated block by block through the eigendecomposition
-of a real symmetric tridiagonal matrix, the displacement by a sparse
-exponential of its ladder-operator generator, and loss splits a state into a
-stack of pure Kraus branches, so a mixed state is the sum of its branches'
-projectors.  The oracle regime is small gains and seeds; cutoff auto-doubles
-when the tail of the photon-number distribution becomes populated.
+Everything here is deliberately independent of the Gaussian engine: the seed
+is the exact coherent state e^{-|alpha|^2/2} alpha^n / sqrt(n!) cut at the
+cutoff, the two-mode squeeze is exponentiated block by block through the
+eigendecomposition of a real symmetric tridiagonal matrix, and loss splits a
+state into a stack of pure Kraus branches, so a mixed state is the sum of its
+branches' projectors.  The oracle regime is small gains and seeds; the cutoff
+auto-doubles when the tail of the photon-number distribution becomes populated
+or probability is lost past it.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import expm_multiply
 from scipy.special import comb
 
 from .config import InterferometerConfig
@@ -27,13 +26,15 @@ from .gaussian import IDLER, SIGNAL, PhotonStats
 DEFAULT_CUTOFF = 40
 MAX_CUTOFF = 128
 TAIL_TOL = 1e-10
+# tensor axis of each mode's photon number
+_AXIS = {SIGNAL: 0, IDLER: 1}
 
 
 @dataclass(frozen=True)
 class FockTwoModeState:
     """Truncated two-mode state: an amplitude array (D, D) indexed (n_s, n_i)
-    if pure, else a stack (B, D, D) of unnormalised pure branches whose
-    projectors sum to the density matrix."""
+    if pure, else a stack (D, D, B) of B unnormalised pure branches, on the
+    last axis, whose projectors sum to the density matrix."""
 
     tensor: np.ndarray
 
@@ -43,17 +44,13 @@ class FockTwoModeState:
 
     @property
     def cutoff(self) -> int:
-        return self.tensor.shape[-1]
+        return self.tensor.shape[0]
 
 
 def vacuum(cutoff: int = DEFAULT_CUTOFF) -> FockTwoModeState:
     amp = np.zeros((cutoff, cutoff), dtype=complex)
     amp[0, 0] = 1.0
     return FockTwoModeState(tensor=amp)
-
-
-def _annihilator(d: int) -> sp.spmatrix:
-    return sp.diags(np.sqrt(np.arange(1, d, dtype=float)), 1)
 
 
 def _squeeze_blocks(g: float, d: int):
@@ -83,61 +80,60 @@ def _squeeze_blocks(g: float, d: int):
 def _apply_squeeze_unitary(state: FockTwoModeState, g: float) -> FockTwoModeState:
     d = state.cutoff
     blocks = list(_squeeze_blocks(g, d))
-    # one column per branch: (D^2, B)
-    vec = state.tensor.reshape(-1, d * d).T.copy()
+    # one row per basis state, one column per branch: a (D^2, B) view
+    vec = state.tensor.reshape(d * d, -1)
+    out = np.empty_like(vec)
     for idx, block in blocks:
-        vec[idx] = block @ vec[idx]
-    return FockTwoModeState(tensor=vec.T.reshape(state.tensor.shape))
+        out[idx] = block @ vec[idx]
+    return FockTwoModeState(tensor=out.reshape(state.tensor.shape))
 
 
-def _displace_generator(alpha: complex, d: int, mode: str) -> sp.spmatrix:
-    a = _annihilator(d)
-    gen = alpha * a.T - np.conj(alpha) * a
-    eye = sp.identity(d)
-    full = sp.kron(gen, eye) if mode == SIGNAL else sp.kron(eye, gen)
-    return full.tocsr()
-
-
-def _apply_unitary(state: FockTwoModeState, gen: sp.spmatrix) -> FockTwoModeState:
+def _joint_distribution(state: FockTwoModeState) -> np.ndarray:
+    """Joint photon-number distribution P(n_s, n_i), summed over branches."""
     d = state.cutoff
-    vec = expm_multiply(gen, state.tensor.reshape(-1))
-    return FockTwoModeState(tensor=vec.reshape(d, d))
+    return (np.abs(state.tensor) ** 2).reshape(d, d, -1).sum(axis=2)
 
 
 def number_distribution(state: FockTwoModeState, mode: str = SIGNAL) -> np.ndarray:
     """Marginal photon-number distribution of one mode."""
-    prob = np.abs(state.tensor) ** 2
-    prob = prob.sum(axis=-1 if mode == SIGNAL else -2)
-    return prob.reshape(-1, state.cutoff).sum(axis=0)
+    return _joint_distribution(state).sum(axis=1 - _AXIS[mode])
+
+
+def _tail_mass(prob: np.ndarray) -> float:
+    """Probability in the top two photon-number shells of either mode of a
+    joint distribution: the two tail masses added, so the corner counts twice."""
+    return float(prob[-2:].sum() + prob[:, -2:].sum())
 
 
 def tail_population(state: FockTwoModeState) -> float:
-    """Total probability sitting in the top two photon-number shells of either
-    mode: the signal and idler tail masses added, so the corner counts twice."""
-    d = state.cutoff
-    prob = (np.abs(state.tensor) ** 2).reshape(-1, d, d).sum(axis=0)
-    return float(prob[-2:].sum() + prob[:, -2:].sum())
+    """Tail mass of the state's joint photon-number distribution."""
+    return _tail_mass(_joint_distribution(state))
 
 
 def _pad(state: FockTwoModeState, new_cutoff: int) -> FockTwoModeState:
     d = state.cutoff
-    amp = np.zeros(state.tensor.shape[:-2] + (new_cutoff, new_cutoff), dtype=complex)
-    amp[..., :d, :d] = state.tensor
+    amp = np.zeros((new_cutoff, new_cutoff) + state.tensor.shape[2:], dtype=complex)
+    amp[:d, :d] = state.tensor
     return FockTwoModeState(tensor=amp)
 
 
 def _with_tail_retry(state, op, label):
-    """Apply op; if the output populates the cutoff tail, pad the input to twice
-    its cutoff, capped at MAX_CUTOFF, and redo."""
+    """Apply op; if the output populates the cutoff tail or has lost norm, pad
+    the input to twice its cutoff, capped at MAX_CUTOFF, and redo.
+
+    Squeeze and loss keep the norm inside the truncated space; the seed's
+    amplitudes are exact, so its norm deficit is the mass lost past the cutoff.
+    """
     while True:
         out = op(state)
-        tail = tail_population(out)
-        if tail < TAIL_TOL:
+        prob = _joint_distribution(out)
+        lost = _tail_mass(prob) + max(1.0 - float(prob.sum()), 0.0)
+        if lost < TAIL_TOL:
             return out
         if state.cutoff >= MAX_CUTOFF:
             raise TruncationError(
-                f"{label}: tail population {tail:.2e} at cutoff {state.cutoff} "
-                f"(max cutoff {MAX_CUTOFF})"
+                f"{label}: tail and lost population {lost:.2e} at cutoff "
+                f"{state.cutoff} (max cutoff {MAX_CUTOFF})"
             )
         state = _pad(state, min(2 * state.cutoff, MAX_CUTOFF))
 
@@ -154,16 +150,25 @@ def squeeze(state: FockTwoModeState, g: float) -> FockTwoModeState:
 
 
 def displace(state: FockTwoModeState, alpha: complex, mode: str) -> FockTwoModeState:
-    """Coherent displacement D(alpha) on one mode of a pure state."""
-    if not state.is_pure:
-        raise DomainError("displace acts on pure states only; the pipeline seeds first")
+    """Coherent displacement D(alpha) on one mode of the vacuum.
+
+    The amplitudes e^{-|alpha|^2/2} alpha^n / sqrt(n!) are exact, built as one
+    running product and cut at the cutoff, so the norm they miss is the
+    population that lies past it.
+    """
+    if not np.array_equal(state.tensor, vacuum(state.cutoff).tensor):
+        raise DomainError("displace seeds the pure vacuum only; the pipeline seeds first")
     if alpha == 0:
         return state
-    return _with_tail_retry(
-        state,
-        lambda st: _apply_unitary(st, _displace_generator(alpha, st.cutoff, mode)),
-        "displace",
-    )
+
+    def seed(st: FockTwoModeState) -> FockTwoModeState:
+        d = st.cutoff
+        ratios = np.r_[math.exp(-0.5 * abs(alpha) ** 2), alpha / np.sqrt(np.arange(1.0, d))]
+        amp = np.zeros((d, d), dtype=complex)
+        np.moveaxis(amp, _AXIS[mode], 0)[:, 0] = np.cumprod(ratios)
+        return FockTwoModeState(tensor=amp)
+
+    return _with_tail_retry(state, seed, "displace")
 
 
 def phase_shift(
@@ -171,7 +176,7 @@ def phase_shift(
 ) -> FockTwoModeState:
     """Phase shift exp(i theta n) on one mode (signal by default)."""
     ph = np.exp(1j * theta * np.arange(state.cutoff))
-    ph = ph[:, None] if mode == SIGNAL else ph
+    ph = ph.reshape((-1,) + (1,) * (state.tensor.ndim - 1 - _AXIS[mode]))
     return FockTwoModeState(tensor=state.tensor * ph)
 
 
@@ -186,17 +191,15 @@ def loss(state: FockTwoModeState, t: float, mode: str) -> FockTwoModeState:
     if t == 1.0:
         return state
     d = state.cutoff
-    amp = state.tensor.reshape(-1, d, d)
-    out = np.zeros((d,) + amp.shape, dtype=complex)
-    m = np.arange(d, dtype=float)
+    amp = state.tensor.reshape(d, d, -1)
+    # (n_s, n_i, k, branch); the views put the lossy mode's axis first
+    out = np.zeros((d, d, d, amp.shape[2]), dtype=complex)
+    amp_m, out_m = np.moveaxis(amp, _AXIS[mode], 0), np.moveaxis(out, _AXIS[mode], 0)
     for k in range(d):
-        mk = m[: d - k]
+        mk = np.arange(d - k, dtype=float)
         w = np.sqrt(comb(mk + k, k)) * t**mk * (1.0 - t * t) ** (k / 2)
-        if mode == SIGNAL:
-            out[k, :, : d - k, :] = w[:, None] * amp[:, k:, :]
-        else:
-            out[k, :, :, : d - k] = w * amp[:, :, k:]
-    return FockTwoModeState(tensor=out.reshape(-1, d, d))
+        out_m[: d - k, :, k] = w[:, None, None] * amp_m[k:]
+    return FockTwoModeState(tensor=out.reshape(d, d, -1))
 
 
 def norm_deficit(state: FockTwoModeState) -> float:
@@ -219,7 +222,10 @@ def suggested_cutoff(cfg: InterferometerConfig) -> int:
     Slightly generous so the tail-driven auto-doubling rarely triggers; used
     by the validation harness, while DEFAULT_CUTOFF stays the plain default.
     """
-    peak = cfg.n_i + (cfg.n_i + 1.0) * math.sinh(cfg.g1 + cfg.g2) ** 2 + 1.0
+    # sinh(10)^2 is already ~1e8 photons, far past MAX_CUTOFF
+    peak = cfg.n_i + (cfg.n_i + 1.0) * math.sinh(min(cfg.g1 + cfg.g2, 10.0)) ** 2 + 1.0
+    if peak >= MAX_CUTOFF:
+        return MAX_CUTOFF
     d = int(math.ceil(peak + 6.0 * math.sqrt(peak) + 14.0))
     d = 4 * ((d + 3) // 4)
     return max(16, min(d, MAX_CUTOFF))

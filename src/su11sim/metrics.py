@@ -95,18 +95,25 @@ class PhaseResponse:
             raise StationaryPointError(
                 f"theta0={theta} sits on an interference extremum (zero slope)"
             )
-        return self.variance(theta) / self.slope(theta) ** 2
+        slope = self.slope(theta)
+        try:
+            return self.variance(theta) / slope**2
+        except OverflowError:  # slope^2 is past float range, the ratio is not
+            return self.variance(theta) / slope / slope
 
     def optimal_theta(self) -> float:
         """Working point in (0, pi) minimizing dtheta2.
 
         Var/(1 - c^2) is stationary where v1 c^2 + 2 b c + v1 = 0, b = v0 + v2.
         The roots multiply to 1; the one in [-1, 1] is taken in the form
-        without cancellation, with b^2 - v1^2 = Var(pi) Var(0) >= 0.
+        without cancellation, with b^2 - v1^2 = Var(pi) Var(0) >= 0.  c does not
+        change under a common scale of b and v1; scaling both by an exact power
+        of two that brings b near 1 keeps b^2 finite for huge seeds.
         """
-        b = self.v0 + self.v2
-        disc = max(b - self.v1, 0.0) * max(b + self.v1, 0.0)
-        c = -self.v1 / (b + math.sqrt(disc))
+        scale = -math.frexp(self.v0 + self.v2)[1]
+        b, v1 = math.ldexp(self.v0 + self.v2, scale), math.ldexp(self.v1, scale)
+        disc = max(b - v1, 0.0) * max(b + v1, 0.0)
+        c = -v1 / (b + math.sqrt(disc))
         theta = math.acos(min(max(c, -1.0), 1.0))
         return min(max(theta, THETA_MARGIN), math.pi - THETA_MARGIN)
 

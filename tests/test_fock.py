@@ -257,3 +257,88 @@ def test_mixture_matches_dense_density_reference():
     p_s, p_i = _dense_reference_marginals(d)
     assert np.abs(fock.number_distribution(st, fock.SIGNAL) - p_s).max() < 1e-12
     assert np.abs(fock.number_distribution(st, fock.IDLER) - p_i).max() < 1e-12
+
+
+@pytest.mark.parametrize("mode", [fock.SIGNAL, fock.IDLER])
+def test_seed_is_the_exact_coherent_state(mode):
+    from scipy.linalg import expm
+
+    d, alpha = 48, 1.5 - 0.5j
+    st = fock.displace(fock.vacuum(d), alpha, mode)
+    assert st.is_pure and st.cutoff == d
+    amp = st.tensor if mode == fock.SIGNAL else st.tensor.T
+    assert not amp[:, 1:].any()
+    closed = np.array(
+        [
+            np.exp(-0.5 * abs(alpha) ** 2) * alpha**n / math.sqrt(math.factorial(n))
+            for n in range(d)
+        ]
+    )
+    a = np.diag(np.sqrt(np.arange(1.0, d)), 1)
+    dense = expm(alpha * a.T - np.conj(alpha) * a)[:, 0]
+    assert np.abs(amp[:, 0] - closed).max() < 1e-13
+    assert np.abs(amp[:, 0] - dense).max() < 1e-13
+
+
+def test_seed_past_max_cutoff_raises():
+    # a truncated unitary D(alpha) reflects this population back to low n; at
+    # n_i = 400 almost none of it reaches the top two shells at cutoff 128, so
+    # only the lost norm reveals it
+    with pytest.raises(TruncationError, match="at cutoff 128 "):
+        fock.displace(fock.vacuum(40), 11.0, fock.IDLER)
+    cfg = InterferometerConfig(g1=0.1, g2=0.1, theta=1.0, n_i=400.0)
+    with pytest.raises(TruncationError):
+        fock.pipeline(cfg)
+
+
+def test_displace_rejects_squeezed_pure_state():
+    squeezed = fock.squeeze(fock.vacuum(12), 0.1)
+    assert squeezed.is_pure
+    with pytest.raises(DomainError, match="pure"):
+        fock.displace(squeezed, 0.5, fock.IDLER)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [InterferometerConfig(g1=400.0, g2=0.1), InterferometerConfig(g1=0.1, g2=0.1, n_i=1e300)],
+)
+def test_suggested_cutoff_caps_a_peak_past_max_cutoff(cfg):
+    assert fock.suggested_cutoff(cfg) == fock.MAX_CUTOFF
+    with pytest.raises(TruncationError):
+        fock.pipeline(cfg, cutoff=fock.suggested_cutoff(cfg))
+
+
+def test_cli_import_loads_no_scipy_linear_algebra():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    code = (
+        "import sys, su11sim.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
+        "(['scipy', 'sparse'], ['scipy', 'linalg'])))"
+    )
+    src = str(Path(fock.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src},
+    ).stdout
+    assert out.strip() == "[]"
+
+
+def test_oracle_imports_only_photon_stats_and_mode_names_from_gaussian():
+    import ast
+    from pathlib import Path
+
+    tree = ast.parse(Path(fock.__file__).read_text())
+    from_su11sim = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or "su11sim" in node.module):
+            module = (node.module or "").removeprefix("su11sim").lstrip(".")
+            names = {alias.name for alias in node.names}
+            from_su11sim.setdefault(module, set()).update(names)
+        elif isinstance(node, ast.Import):
+            assert not any(alias.name.startswith("su11sim") for alias in node.names)
+    assert from_su11sim["gaussian"] == {"IDLER", "SIGNAL", "PhotonStats"}
+    assert set(from_su11sim) <= {"config", "errors", "gaussian"}

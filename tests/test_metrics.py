@@ -200,3 +200,27 @@ class TestPhaseResponse:
             m.sensitivity(cfg(), math.pi)
         # a tiny but resolved slope is a valid working point
         assert m.sensitivity(cfg(), 1e-9) > 0
+
+    def test_huge_seed_optimum_is_scale_free(self):
+        # b^2 overflows float64 here; the exact optimum is unchanged when every
+        # coefficient is scaled by the same power of two
+        r = m.phase_response(cfg(ts2=1e-8, n_i=1e158))
+        small = m.PhaseResponse(
+            r.cfg, *(math.ldexp(x, -520) for x in (r.m0, r.m1, r.v0, r.v1, r.v2))
+        )
+        assert abs(small.v0 + small.v2) < 1.0
+        assert r.optimal_theta() == small.optimal_theta()
+        assert r.optimal_theta() == pytest.approx(1.5708983133408537, rel=1e-12)
+
+    def test_huge_seed_dtheta2_has_no_overflow(self):
+        r = m.phase_response(cfg(n_i=1e160))
+        small = m.PhaseResponse(
+            r.cfg, *(math.ldexp(x, -530) for x in (r.m0, r.m1, r.v0, r.v1, r.v2))
+        )
+        theta = r.optimal_theta()
+        # Var scales like the coefficients and the slope squared like their square
+        assert r.dtheta2(theta) == pytest.approx(
+            math.ldexp(small.dtheta2(theta), -530), rel=1e-15
+        )
+        report = m.optimal_sensitivity(cfg(n_i=1e160))
+        assert report.dtheta2 == r.dtheta2(theta)

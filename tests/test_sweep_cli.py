@@ -408,6 +408,34 @@ class TestCli:
         assert capsys.readouterr().err == ""
         assert caught == []
 
+    def test_huge_seed_sensitivity_is_finite(self, capsys):
+        # the slope squared overflows float64 from n_i ~ 1e159; the ratio does not
+        rc = cli.main(["sensitivity", "--g1", "0.1", "--g2", "0.1", "--n_i", "1e160"])
+        assert rc == cli.EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert 0.0 < payload["dtheta2"] < 1e-150
+        assert math.isfinite(payload["db_vs_shotnoise"])
+
+    def test_huge_seed_sweep_fills_every_row(self, tmp_path, capsys):
+        js = tmp_path / "s.json"
+        rc = cli.main(
+            ["sweep", "--g1", "0.1", "--g2", "0.1", "--axis", "n_i", "--lo", "1e150",
+             "--hi", "1e300", "--steps", "4", "--metrics", "dtheta2,db_vs_shotnoise",
+             "--json", str(js)]
+        )
+        assert rc == cli.EXIT_OK
+        rows = json.loads(js.read_text())["rows"]
+        assert len(rows) == 4
+        # far above the vacuum, the seed sets both dtheta2 ~ 1/n_i and the shot
+        # noise, so the dB figure no longer moves with n_i
+        for row in rows:
+            assert row["dtheta2"] * row["n_i"] == pytest.approx(
+                rows[0]["dtheta2"] * rows[0]["n_i"], rel=1e-9
+            )
+            assert row["db_vs_shotnoise"] == pytest.approx(
+                rows[0]["db_vs_shotnoise"], rel=1e-9
+            )
+
     def test_validate_names_the_config_of_each_worst_deviation(self, capsys):
         assert cli.main(["validate", "--seed", "3", "--points", "4"]) == cli.EXIT_OK
         lines = capsys.readouterr().out.splitlines()
