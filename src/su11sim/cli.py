@@ -13,8 +13,6 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, closed_form, metrics, sweep
 from .errors import Su11Error
 from .metrics import ShotNoiseConvention
@@ -174,9 +172,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # overflow surfaces as a typed error from the engines, not as warnings
-        with np.errstate(over="ignore", invalid="ignore"):
-            return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command](args)
     except Su11Error as exc:
         print(f"su11: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import DomainError
 
@@ -41,3 +44,24 @@ class InterferometerConfig:
 
     def with_theta(self, theta: float) -> "InterferometerConfig":
         return replace(self, theta=theta)
+
+
+class ConfigStack(NamedTuple):
+    """N configurations as one stack: each parameter an (N,) float array, in
+    the order of the configs.  The Gaussian pipeline reads it as it reads
+    one InterferometerConfig."""
+
+    g1: np.ndarray
+    g2: np.ndarray
+    theta: np.ndarray
+    t_s: np.ndarray
+    t_i: np.ndarray
+    n_i: np.ndarray
+
+
+def stack(cfgs: Sequence[InterferometerConfig]) -> ConfigStack:
+    """Stack already validated configs parameter by parameter."""
+    table = np.array(
+        [(c.g1, c.g2, c.theta, c.t_s, c.t_i, c.n_i) for c in cfgs], dtype=float
+    ).reshape(-1, len(ConfigStack._fields))
+    return ConfigStack(*table.T)

@@ -5,7 +5,13 @@ With real parameters the signal photon-number mean and variance are
 polynomials of degree one and two in cos(theta).  One Gaussian propagation to
 the phase, followed by three phase + OPA2 tails at theta = 0, pi/2 and pi,
 fixes them (PhaseResponse); the visibility is m1/m0, and the slope,
-sensitivity and optimum follow in closed form.
+sensitivity and optimum follow in closed form.  The shot-noise level reads the
+signal mean of the same propagation, after OPA1 or after the loss.
+
+phase_responses does this for N configs at once: one prefix pass (seed ->
+OPA1 -> loss) over a stack of N states and one tail pass over N x {0, pi/2,
+pi}, plus each config's own theta when asked for.  phase_response(cfg) is the
+batch of one.
 """
 
 from __future__ import annotations
@@ -13,8 +19,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
-from . import gaussian
+import numpy as np
+
+from . import config, gaussian
 from .config import InterferometerConfig
 from .errors import DomainError, StationaryPointError, UndefinedVisibilityError
 
@@ -25,6 +34,8 @@ STATIONARY_SIN = 1e-12
 # working points stay this far inside (0, pi): at the lossless dark fringe the
 # phase variance has an infimum at theta -> pi that no working point attains
 THETA_MARGIN = math.pi / 514
+# the phases whose tails fix the mean and variance coefficients
+FRINGE_PHASES = (0.0, 0.5 * math.pi, math.pi)
 
 
 class ShotNoiseConvention(str, Enum):
@@ -61,7 +72,10 @@ def visibility_numeric(cfg: InterferometerConfig) -> float:
 @dataclass(frozen=True)
 class PhaseResponse:
     """Signal photon-number statistics of device cfg as functions of
-    c = cos(theta): <N_s> = m0 + m1 c and Var N_s = v0 + v1 c + v2 c^2."""
+    c = cos(theta): <N_s> = m0 + m1 c and Var N_s = v0 + v1 c + v2 c^2.
+
+    after_opa1 and after_loss are the signal (mean, variance) before the
+    phase, read by the shot-noise level and checked for overflow only there."""
 
     cfg: InterferometerConfig
     m0: float
@@ -69,6 +83,8 @@ class PhaseResponse:
     v0: float
     v1: float
     v2: float
+    after_opa1: tuple[float, float]
+    after_loss: tuple[float, float]
 
     def mean(self, theta: float) -> float:
         return self.m0 + self.m1 * math.cos(theta)
@@ -117,23 +133,74 @@ class PhaseResponse:
         theta = math.acos(min(max(c, -1.0), 1.0))
         return min(max(theta, THETA_MARGIN), math.pi - THETA_MARGIN)
 
+    def shot_noise_level(self, convention: ShotNoiseConvention) -> float:
+        """Classical benchmark phase variance, counted per the chosen convention."""
+        after_loss = convention == ShotNoiseConvention.AFTER_LOSS
+        before_phase = self.after_loss if after_loss else self.after_opa1
+        n_s = gaussian.checked_stats(*before_phase).mean
+        if n_s <= 0.0:
+            raise DomainError(f"no signal photons inside the interferometer (N_s={n_s})")
+        if convention == ShotNoiseConvention.PAIR_AFTER_OPA1:
+            return 1.0 / (2.0 * n_s)
+        return 1.0 / n_s
+
+
+@dataclass(frozen=True)
+class ResponsePoint:
+    """One config's signal (mean, variance) from a batched propagation, not
+    yet checked for float64 overflow: after the tail at each of FRINGE_PHASES,
+    then at cfg.theta if it was asked for; and before the phase."""
+
+    cfg: InterferometerConfig
+    tails: tuple[tuple[float, float], ...]
+    after_opa1: tuple[float, float]
+    after_loss: tuple[float, float]
+
+    def at_theta(self) -> gaussian.PhotonStats:
+        """Signal statistics of the device at its own phase cfg.theta."""
+        return gaussian.checked_stats(*self.tails[len(FRINGE_PHASES)])
+
+    def response(self) -> PhaseResponse:
+        """The phase response; the first tail that overflowed is its error."""
+        s0, sh, sp = (gaussian.checked_stats(*t) for t in self.tails[:len(FRINGE_PHASES)])
+        return PhaseResponse(
+            cfg=self.cfg,
+            m0=sh.mean,
+            m1=0.5 * (s0.mean - sp.mean),
+            v0=sh.variance,
+            v1=0.5 * (s0.variance - sp.variance),
+            v2=0.5 * (s0.variance + sp.variance) - sh.variance,
+            after_opa1=self.after_opa1,
+            after_loss=self.after_loss,
+        )
+
+
+def phase_responses(
+    cfgs: Sequence[InterferometerConfig], at_theta: bool = False
+) -> list[ResponsePoint]:
+    """One ResponsePoint per config, in order, from one prefix pass over the
+    stack of configs and one tail pass over configs x FRINGE_PHASES (and
+    each config's own theta when at_theta).  Raises nothing for a config
+    whose statistics overflow: that point's reads raise its DomainError."""
+    stack = config.stack(cfgs)
+    thetas = np.array(FRINGE_PHASES)[:, None]
+    if at_theta:
+        fringe = np.broadcast_to(thetas, (len(FRINGE_PHASES), len(cfgs)))
+        thetas = np.concatenate([fringe, stack.theta[None]])
+    mean, var = gaussian.signal_moments(stack, thetas)
+    # one row of (mean, variance) pairs per tail phase, then after OPA1 and
+    # after the loss
+    *tail_rows, opa1, loss = (list(zip(m, v)) for m, v in zip(mean.tolist(), var.tolist()))
+    return [
+        ResponsePoint(cfg, tails, before_loss, after_loss)
+        for cfg, tails, before_loss, after_loss in zip(cfgs, zip(*tail_rows), opa1, loss)
+    ]
+
 
 def phase_response(cfg: InterferometerConfig) -> PhaseResponse:
     """Mean and variance coefficients from one propagation to the phase and
-    the phase + OPA2 tail at theta = 0, pi/2, pi."""
-    before_phase = gaussian.state_after_first_opa(cfg, include_loss=True)
-    s0, sh, sp = (
-        gaussian.photon_stats(gaussian.phase_then_second_opa(before_phase, theta, cfg.g2))
-        for theta in (0.0, 0.5 * math.pi, math.pi)
-    )
-    return PhaseResponse(
-        cfg=cfg,
-        m0=sh.mean,
-        m1=0.5 * (s0.mean - sp.mean),
-        v0=sh.variance,
-        v1=0.5 * (s0.variance - sp.variance),
-        v2=0.5 * (s0.variance + sp.variance) - sh.variance,
-    )
+    the phase + OPA2 tail at theta = 0, pi/2, pi: the batch of one."""
+    return phase_responses([cfg])[0].response()
 
 
 def _sensing_response(r: PhaseResponse) -> PhaseResponse:
@@ -160,16 +227,9 @@ def shot_noise_level(
     cfg: InterferometerConfig,
     convention: ShotNoiseConvention = ShotNoiseConvention.AFTER_OPA1,
 ) -> float:
-    """Classical benchmark phase variance, counted per the chosen convention."""
-    state = gaussian.state_after_first_opa(
-        cfg, include_loss=(convention == ShotNoiseConvention.AFTER_LOSS)
-    )
-    n_s = gaussian.mean_photons(state, gaussian.SIGNAL)
-    if n_s <= 0.0:
-        raise DomainError(f"no signal photons inside the interferometer (N_s={n_s})")
-    if convention == ShotNoiseConvention.PAIR_AFTER_OPA1:
-        return 1.0 / (2.0 * n_s)
-    return 1.0 / n_s
+    """Classical benchmark phase variance, counted per the chosen convention,
+    from the signal mean of the device's phase response."""
+    return phase_response(cfg).shot_noise_level(convention)
 
 
 def sensitivity_report(
@@ -183,7 +243,7 @@ def sensitivity_report(
     theta_opt = response.optimal_theta()
     dtheta2 = response.dtheta2(theta_opt)
 
-    snl = shot_noise_level(response.cfg, convention)
+    snl = response.shot_noise_level(convention)
     db = 10.0 * math.log10(snl / dtheta2)
     return SensitivityReport(
         theta_opt=float(theta_opt),

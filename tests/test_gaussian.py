@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from su11sim import InterferometerConfig
 from su11sim import closed_form
+from su11sim import config
 from su11sim import gaussian as g
 from su11sim.errors import DomainError
 
@@ -208,3 +210,59 @@ def test_non_finite_photon_stats_is_domain_error():
         state = g.run_interferometer(cfg)
     with pytest.raises(DomainError, match="overflow"):
         g.photon_stats(state)
+
+
+def random_configs(seed, n):
+    rng = np.random.default_rng(seed)
+    return [
+        InterferometerConfig(
+            g1=rng.uniform(0.0, 1.5), g2=rng.uniform(0.0, 1.5),
+            theta=rng.uniform(-2 * math.pi, 2 * math.pi),
+            t_s=rng.uniform(0.0, 1.0), t_i=rng.uniform(0.0, 1.0),
+            n_i=rng.choice([0.0, rng.uniform(0.0, 1e3)]),
+        )
+        for _ in range(n)
+    ]
+
+
+def test_stacked_pipeline_matches_single_runs():
+    cfgs = random_configs(5, 30)
+    stacked = g.run_interferometer(config.stack(cfgs))
+    assert stacked.cov.shape == (30, 4, 4) and stacked.disp.shape == (30, 4)
+    for mode in (g.SIGNAL, g.IDLER):
+        mean, var = g.photon_moments(stacked, mode)
+        single = [g.photon_stats(g.run_interferometer(c), mode) for c in cfgs]
+        np.testing.assert_allclose(mean, [s.mean for s in single], rtol=1e-13, atol=1e-300)
+        np.testing.assert_allclose(var, [s.variance for s in single], rtol=1e-13, atol=1e-300)
+
+
+def test_elements_broadcast_per_point_parameters():
+    base = g.apply_squeezer(g.seed_idler(g.vacuum_state(), 3.0), 0.4)
+    thetas = np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]])
+    stacked = g.apply_phase(base, thetas)
+    assert stacked.cov.shape == (3, 2, 4, 4)
+    for idx in np.ndindex(thetas.shape):
+        single = g.apply_phase(base, float(thetas[idx]))
+        np.testing.assert_allclose(stacked.cov[idx], single.cov, rtol=1e-13, atol=1e-15)
+        np.testing.assert_allclose(stacked.disp[idx], single.disp, rtol=1e-13, atol=1e-15)
+    lossy = g.apply_loss(stacked, np.array([0.2, 0.9]), 0.5)
+    single = g.apply_loss(g.apply_phase(base, 1.0), 0.9, 0.5)
+    np.testing.assert_allclose(lossy.cov[0, 1], single.cov, rtol=1e-13, atol=1e-15)
+    with pytest.raises(DomainError):
+        g.apply_loss(stacked, np.array([0.2, 1.5]), 0.5)
+    with pytest.raises(DomainError):
+        g.seed_idler(g.vacuum_state(), np.array([1.0, -1.0]))
+
+
+def test_overflowing_point_does_not_stop_its_batch():
+    cfgs = [InterferometerConfig(g1=400.0, g2=0.1), InterferometerConfig(g1=0.1, g2=0.1)]
+    thetas = np.array([[0.0], [math.pi]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mean, var = g.signal_moments(config.stack(cfgs), thetas)
+    assert mean.shape == var.shape == (4, 2)
+    assert not np.isfinite(mean[:, 0]).all() or not np.isfinite(var[:, 0]).all()
+    assert np.isfinite(mean[:, 1]).all() and np.isfinite(var[:, 1]).all()
+    assert mean[0, 1] == pytest.approx(math.sinh(0.2) ** 2, rel=1e-12)
+    with pytest.raises(DomainError, match="photon statistics overflow float64"):
+        g.checked_stats(float(mean[0, 0]), float(var[0, 0]))

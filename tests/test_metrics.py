@@ -1,5 +1,6 @@
 import inspect
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -173,12 +174,16 @@ class TestPhaseResponse:
             assert report.dtheta2 == pytest.approx(brute, rel=1e-9)
 
     def test_optimum_costs_one_loss_three_phases_and_no_closed_form(self, monkeypatch):
-        counts = {"loss": 0, "phase": 0, "closed_form": 0}
+        calls = {"loss": 0, "phase": 0, "closed_form": 0}
+        pairs = {"loss": 0, "phase": 0}
 
         def counting(key, fn):
             def wrapper(*args, **kwargs):
-                counts[key] += 1
-                return fn(*args, **kwargs)
+                calls[key] += 1
+                out = fn(*args, **kwargs)
+                if key in pairs:  # the (config, phase) pairs the call carries
+                    pairs[key] += math.prod(out.cov.shape[:-2])
+                return out
             return wrapper
 
         monkeypatch.setattr(gaussian, "apply_loss", counting("loss", gaussian.apply_loss))
@@ -187,8 +192,21 @@ class TestPhaseResponse:
             if inspect.isfunction(fn) and fn.__module__ == cf.__name__:
                 monkeypatch.setattr(cf, name, counting("closed_form", fn))
         m.optimal_sensitivity(cfg(ti2=0.75, n_i=50.0))
-        # one propagation to the phase, then three phase + OPA2 tails
-        assert counts == {"loss": 1, "phase": 3, "closed_form": 0}
+        # one propagation to the phase, then one batched call for the three
+        # phase + OPA2 tails
+        assert calls == {"loss": 1, "phase": 1, "closed_form": 0}
+        assert pairs == {"loss": 1, "phase": 3}
+
+    def test_overflow_raises_only_domain_error(self):
+        # library callers get the typed error and no numpy RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="overflow float64"):
+                m.phase_response(cfg(n_i=1.7e308))
+
+    def test_batch_of_none_is_empty(self):
+        assert m.phase_responses([]) == []
+        assert m.phase_responses([], at_theta=True) == []
 
     def test_unresolved_interference_rejected(self):
         for c in (cfg(ts2=0.0), cfg(g1=0.0), cfg(ts2=1e-30)):
@@ -206,7 +224,8 @@ class TestPhaseResponse:
         # coefficient is scaled by the same power of two
         r = m.phase_response(cfg(ts2=1e-8, n_i=1e158))
         small = m.PhaseResponse(
-            r.cfg, *(math.ldexp(x, -520) for x in (r.m0, r.m1, r.v0, r.v1, r.v2))
+            r.cfg, *(math.ldexp(x, -520) for x in (r.m0, r.m1, r.v0, r.v1, r.v2)),
+            r.after_opa1, r.after_loss,
         )
         assert abs(small.v0 + small.v2) < 1.0
         assert r.optimal_theta() == small.optimal_theta()
@@ -215,7 +234,8 @@ class TestPhaseResponse:
     def test_huge_seed_dtheta2_has_no_overflow(self):
         r = m.phase_response(cfg(n_i=1e160))
         small = m.PhaseResponse(
-            r.cfg, *(math.ldexp(x, -530) for x in (r.m0, r.m1, r.v0, r.v1, r.v2))
+            r.cfg, *(math.ldexp(x, -530) for x in (r.m0, r.m1, r.v0, r.v1, r.v2)),
+            r.after_opa1, r.after_loss,
         )
         theta = r.optimal_theta()
         # Var scales like the coefficients and the slope squared like their square

@@ -4,10 +4,11 @@ import re
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from su11sim import InterferometerConfig, cli, gaussian, sweep
-from su11sim.errors import DomainError
+from su11sim import InterferometerConfig, cli, gaussian, metrics, sweep
+from su11sim.errors import DomainError, Su11Error
 from su11sim.metrics import ShotNoiseConvention
 
 
@@ -100,17 +101,21 @@ class TestRunSweep:
         assert sweep.sweep_to_csv(spec, first) == sweep.sweep_to_csv(spec, second)
 
     @pytest.mark.parametrize(
-        "wanted, loss, phase",
+        "wanted, blocks, phases",
         [(("visibility", "db_vs_shotnoise"), 1, 3),
          (("mean", "visibility", "dtheta2", "db_vs_shotnoise"), 2, 4)],
     )
-    def test_fringe_metrics_share_one_phase_response(self, monkeypatch, wanted, loss, phase):
-        counts = {"loss": 0, "phase": 0}
+    def test_fringe_metrics_share_one_phase_response(self, monkeypatch, wanted, blocks, phases):
+        monkeypatch.setattr(sweep, "BLOCK_POINTS", 4 // blocks)
+        calls = {"loss": 0, "phase": 0}
+        pairs = {"loss": 0, "phase": 0}
 
         def counting(key, fn):
             def wrapper(*args, **kwargs):
-                counts[key] += 1
-                return fn(*args, **kwargs)
+                calls[key] += 1
+                out = fn(*args, **kwargs)
+                pairs[key] += math.prod(out.cov.shape[:-2])
+                return out
             return wrapper
 
         monkeypatch.setattr(gaussian, "apply_loss", counting("loss", gaussian.apply_loss))
@@ -118,10 +123,76 @@ class TestRunSweep:
         spec = make_spec(axis="t_s2", lo=0.25, hi=1.0, steps=4, metrics=wanted)
         rows = sweep.run_sweep(spec)
         assert all(r.error is None for r in rows)
-        # per point: the mean is one run at its own theta; every other metric
-        # reads one propagation to the phase and three phase + OPA2 tails
-        assert counts == {"loss": 4 * loss, "phase": 4 * phase}
+        # per block: one batched propagation to the phase over its points,
+        # then one batched tail over its points x (0, pi/2, pi), plus each
+        # point's own theta when the mean is asked for
+        assert calls == {"loss": blocks, "phase": blocks}
+        assert pairs == {"loss": 4, "phase": 4 * phases}
 
+    @pytest.mark.parametrize(
+        "fixed, axis, lo, hi, wanted, errors",
+        [
+            # random devices, lossy or lossless, seeded or not (the seed of
+            # each is its axis' index in AXES)
+            *[(None, axis, lo, hi, sweep.METRICS, ())
+              for axis, lo, hi in (("t_s2", 0.0, 1.0), ("t_i2", 0.05, 1.0),
+                                   ("t_both2", 0.0, 1.0), ("theta", -7.0, 7.0),
+                                   ("n_i", 0.0, 1e3), ("G1", 0.0, 1.5),
+                                   ("G2", 0.0, 1.5))],
+            (dict(g1=0.1, g2=0.1), "G1", 0.0, 400.0, sweep.METRICS,
+             ("overflow float64",)),
+            (dict(g1=0.0, g2=0.0), "theta", 0.0, 1.0, ("mean", "visibility"),
+             ("zero total flux",)),
+            (dict(g1=0.3, g2=0.0, n_i=2.0), "t_s2", 0.1, 1.0, ("mean", "dtheta2"),
+             ("g2 must be > 0",)),
+            (dict(g1=0.1, g2=0.1), "t_s2", 0.0, 1e-30, ("visibility", "dtheta2"),
+             ("interference term not resolved",)),
+        ],
+    )
+    def test_batched_rows_equal_the_batch_of_one(
+        self, monkeypatch, fixed, axis, lo, hi, wanted, errors
+    ):
+        rng = np.random.default_rng(sweep.AXES.index(axis))
+        if fixed is None:
+            lossless = rng.random() < 0.5
+            fixed = dict(
+                g1=rng.uniform(0.0, 1.5), g2=rng.uniform(0.05, 1.5),
+                theta=rng.uniform(0.0, 2.0 * math.pi),
+                t_s=1.0 if lossless else rng.uniform(0.3, 1.0),
+                t_i=1.0 if lossless else rng.uniform(0.3, 1.0),
+                n_i=rng.choice([0.0, rng.uniform(0.0, 1e3)]),
+            )
+        convention = ShotNoiseConvention(rng.choice([c.value for c in ShotNoiseConvention]))
+        spec = make_spec(axis=axis, lo=lo, hi=hi, steps=41, metrics=wanted,
+                         fixed=InterferometerConfig(**fixed), snl_convention=convention)
+        # several blocks, so that block edges are crossed
+        monkeypatch.setattr(sweep, "BLOCK_POINTS", 16)
+        rows = sweep.run_sweep(spec)
+        assert [r.axis_value for r in rows] == list(sweep.grid(spec))
+        for row in rows:
+            values, error = {m: None for m in wanted}, None
+            try:
+                cfg = sweep.config_at(spec, row.axis_value)
+                if "mean" in wanted:
+                    values["mean"] = gaussian.photon_stats(gaussian.run_interferometer(cfg)).mean
+                if "visibility" in wanted:
+                    values["visibility"] = metrics.phase_response(cfg).visibility()
+                if {"dtheta2", "db_vs_shotnoise"} & set(wanted):
+                    report = metrics.optimal_sensitivity(cfg, convention)
+                    for m in ("dtheta2", "db_vs_shotnoise"):
+                        if m in wanted:
+                            values[m] = getattr(report, m)
+            except Su11Error as exc:
+                error = str(exc)
+            assert row.error == error
+            for m in wanted:
+                if values[m] is None:
+                    assert row.values[m] is None
+                else:
+                    assert row.values[m] == pytest.approx(values[m], rel=1e-13, abs=1e-300)
+        for text in errors:
+            assert any(text in (r.error or "") for r in rows)
+        assert errors or sum(r.error is None for r in rows) > len(rows) // 2
 
 class TestSerialization:
     def test_config_round_trip(self):
