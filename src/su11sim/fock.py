@@ -2,17 +2,33 @@
 
 Everything here is deliberately independent of the Gaussian engine: the seed
 is the exact coherent state e^{-|alpha|^2/2} alpha^n / sqrt(n!) cut at the
-cutoff, the two-mode squeeze is exponentiated block by block through the
-eigendecomposition of a real symmetric tridiagonal matrix, and loss splits a
-state into a stack of pure Kraus branches, so a mixed state is the sum of its
-branches' projectors.  The oracle regime is small gains and seeds; the cutoff
-auto-doubles when the tail of the photon-number distribution becomes populated
-or probability is lost past it.
+cutoff, and the two-mode squeeze is exponentiated sector by sector, through
+the eigendecomposition of a real symmetric tridiagonal matrix per sector of
+fixed n_s - n_i.
+
+A pure state is a (D, D) amplitude array indexed (n_s, n_i).  Loss makes it
+mixed, and a mixed state is kept as its sector density
+
+    Z[delta, n_s, n_i] = <n_s, n_i| rho |n_s + delta, n_i + delta>,
+
+shape (2D - 1, D, D) with delta + D - 1 on the first axis: the part of rho
+that commutes with exp[i phi (n_s - n_i)].  Dropping the rest is exact, not a
+truncation.  Squeeze, loss and phase each commute with that rotation, and so
+does the photon-number readout, so coherences between different n_s - n_i
+can never reach a reported statistic.  The sector density holds D^3
+amplitudes, and loss, phase and squeeze are each one batched matrix product
+over delta or over the sectors.
+
+The oracle regime is small gains and seeds; the cutoff auto-doubles when the
+tail of the photon-number distribution becomes populated or probability is
+lost past it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import math
 
@@ -26,15 +42,15 @@ from .gaussian import IDLER, SIGNAL, PhotonStats
 DEFAULT_CUTOFF = 40
 MAX_CUTOFF = 128
 TAIL_TOL = 1e-10
-# tensor axis of each mode's photon number
+# tensor axis of each mode's photon number in a pure state
 _AXIS = {SIGNAL: 0, IDLER: 1}
 
 
 @dataclass(frozen=True)
 class FockTwoModeState:
     """Truncated two-mode state: an amplitude array (D, D) indexed (n_s, n_i)
-    if pure, else a stack (D, D, B) of B unnormalised pure branches, on the
-    last axis, whose projectors sum to the density matrix."""
+    if pure, else the sector density (2D - 1, D, D) indexed
+    (delta + D - 1, n_s, n_i), see the module docstring."""
 
     tensor: np.ndarray
 
@@ -44,7 +60,7 @@ class FockTwoModeState:
 
     @property
     def cutoff(self) -> int:
-        return self.tensor.shape[0]
+        return self.tensor.shape[-1]
 
 
 def vacuum(cutoff: int = DEFAULT_CUTOFF) -> FockTwoModeState:
@@ -53,45 +69,97 @@ def vacuum(cutoff: int = DEFAULT_CUTOFF) -> FockTwoModeState:
     return FockTwoModeState(tensor=amp)
 
 
-def _squeeze_blocks(g: float, d: int):
-    """Blockwise exponential of the two-mode-squeeze generator.
+class _Sectors(NamedTuple):
+    """The n_s - n_i sectors at one cutoff d.
 
-    The generator conserves n_s - n_i, so exp(K) is block diagonal over that
-    offset; each block is the exponential of a small antisymmetric tridiagonal
-    matrix gen, with `sub` below the diagonal and -`sub` above it.  With
-    P = diag(i^k), gen = P (-i T) P^-1 for the real symmetric tridiagonal T
-    that has `sub` on both off-diagonals, so from T = V diag(w) V^T:
-        exp(gen) = Re[P V diag(e^{-iw}) V^T P^-1].
-    Yields (flat-index array, dense block) pairs.
+    Sector s (row s + d - 1) holds the m = d - |s| states
+    |a + max(s, 0), a + max(-s, 0)>, a = min(n_s, n_i) < m, zero-padded to d.
     """
-    for off in range(-(d - 1), d):
-        ns = np.arange(max(0, off), min(d, d + off))
-        idx = ns * d + (ns - off)
-        m = len(ns)
-        if m == 1:
-            yield idx, np.ones((1, 1))
-            continue
-        sub = g * np.sqrt((ns[:-1] + 1.0) * (ns[:-1] + 1.0 - off))
-        w, v = np.linalg.eigh(np.diag(sub, -1) + np.diag(sub, 1))
-        pv = v * np.array([1, 1j, -1, -1j])[np.arange(m) % 4, None]  # P V
-        yield idx, ((pv * np.exp(-1j * w)) @ pv.conj().T).real
+
+    flat: np.ndarray  # (2d-1, d): flat index n_s d + n_i of state a of sector s
+    pure: tuple  # (amplitude, sector-vector) flat index pairs, one per state
+    mixed: tuple  # (sector-density, sector-block) flat index pairs
+    w: np.ndarray  # (d, d): eigenvalues of the unit-gain block T, by |s|
+    pv: np.ndarray  # (d, d, d): P V, the matching eigenvectors times diag(i^a)
+
+
+@lru_cache(maxsize=4)
+def _sectors(d: int) -> _Sectors:
+    """Sector layout and the squeeze eigenbasis at cutoff d.
+
+    The squeeze generator conserves n_s - n_i.  On sector s it is g times an
+    antisymmetric tridiagonal matrix gen, with sub_a = sqrt((a+1)(a+1+|s|))
+    below the diagonal and -sub_a above it, so one eigendecomposition at unit
+    gain serves every g, and sectors s and -s share it.  With P = diag(i^a),
+    gen = P (-i T) P^-1 for the real symmetric tridiagonal T that has sub on
+    both off-diagonals, so from T = V diag(w) V^T:
+        exp(g gen) = Re[P V diag(e^{-igw}) V^T P^-1].
+    """
+    s = np.arange(-(d - 1), d)[:, None]
+    a = np.arange(d)
+    valid = a < d - np.abs(s)
+    flat = (a + np.maximum(s, 0)) * d + a + np.maximum(-s, 0)
+    pure = (flat[valid], np.flatnonzero(valid))
+    block = valid[:, :, None] & valid[:, None, :]  # (s, a, b)
+    # <row a| rho |column b> of sector s sits at delta = b - a
+    z = (a - a[:, None] + d - 1) * d * d + flat[:, :, None]
+    mixed = (z[block], np.flatnonzero(block))
+
+    off = np.arange(d)[:, None]
+    sub = np.sqrt((a[1:] * (a[1:] + off)).astype(float)) * (a[1:] < d - off)
+    t = np.zeros((d, d, d))
+    t[:, a[1:], a[:-1]] = sub
+    t[:, a[:-1], a[1:]] = sub
+    w, v = np.linalg.eigh(t)
+    pv = v * np.array([1, 1j, -1, -1j])[a % 4, None]
+    return _Sectors(flat, pure, mixed, w, pv)
+
+
+def _sector_unitaries(g: float, d: int) -> np.ndarray:
+    """(d, d, d) real: the squeeze exp(g gen) on each sector, by |s|; the
+    zero padding of a sector maps to itself."""
+    sec = _sectors(d)
+    u = (sec.pv * np.exp(-1j * g * sec.w)[:, None, :]) @ sec.pv.conj().transpose(0, 2, 1)
+    return u.real
+
+
+def _squeeze_blocks(g: float, d: int):
+    """The squeeze's sector blocks one at a time, in the order of n_s - n_i,
+    as (flat index into the (D, D) amplitudes, real block) pairs."""
+    flat, blocks = _sectors(d).flat, _sector_unitaries(g, d)
+    for s in range(-(d - 1), d):
+        m = d - abs(s)
+        yield flat[s + d - 1, :m], blocks[abs(s), :m, :m]
+
+
+def _regroup(src: np.ndarray, take: np.ndarray, put: np.ndarray, shape) -> np.ndarray:
+    """A zero array of `shape` whose flat entries `put` are src's flat `take`."""
+    out = np.zeros(shape, dtype=complex)
+    out.reshape(-1)[put] = src.reshape(-1)[take]
+    return out
 
 
 def _apply_squeeze_unitary(state: FockTwoModeState, g: float) -> FockTwoModeState:
     d = state.cutoff
-    blocks = list(_squeeze_blocks(g, d))
-    # one row per basis state, one column per branch: a (D^2, B) view
-    vec = state.tensor.reshape(d * d, -1)
-    out = np.empty_like(vec)
-    for idx, block in blocks:
-        out[idx] = block @ vec[idx]
-    return FockTwoModeState(tensor=out.reshape(state.tensor.shape))
+    sec = _sectors(d)
+    u = _sector_unitaries(g, d)[np.abs(np.arange(-(d - 1), d))]
+    if state.is_pure:
+        amp, vec = sec.pure
+        x = _regroup(state.tensor, amp, vec, (2 * d - 1, d, 1))
+        out = _regroup(u @ x, vec, amp, (d, d))
+    else:
+        dens, blk = sec.mixed
+        r = _regroup(state.tensor, dens, blk, (2 * d - 1, d, d))
+        out = _regroup(u @ r @ u.transpose(0, 2, 1), blk, dens, state.tensor.shape)
+    return FockTwoModeState(tensor=out)
 
 
 def _joint_distribution(state: FockTwoModeState) -> np.ndarray:
-    """Joint photon-number distribution P(n_s, n_i), summed over branches."""
-    d = state.cutoff
-    return (np.abs(state.tensor) ** 2).reshape(d, d, -1).sum(axis=2)
+    """Joint photon-number distribution P(n_s, n_i): |amplitude|^2, or the
+    sector density at delta = 0."""
+    if state.is_pure:
+        return np.abs(state.tensor) ** 2
+    return state.tensor[state.cutoff - 1].real
 
 
 def number_distribution(state: FockTwoModeState, mode: str = SIGNAL) -> np.ndarray:
@@ -112,8 +180,13 @@ def tail_population(state: FockTwoModeState) -> float:
 
 def _pad(state: FockTwoModeState, new_cutoff: int) -> FockTwoModeState:
     d = state.cutoff
-    amp = np.zeros((new_cutoff, new_cutoff) + state.tensor.shape[2:], dtype=complex)
-    amp[:d, :d] = state.tensor
+    if state.is_pure:
+        amp = np.zeros((new_cutoff, new_cutoff), dtype=complex)
+        amp[:d, :d] = state.tensor
+    else:
+        # delta = 0 moves from row d - 1 to row new_cutoff - 1
+        amp = np.zeros((2 * new_cutoff - 1, new_cutoff, new_cutoff), dtype=complex)
+        amp[new_cutoff - d : new_cutoff + d - 1, :d, :d] = state.tensor
     return FockTwoModeState(tensor=amp)
 
 
@@ -174,37 +247,59 @@ def displace(state: FockTwoModeState, alpha: complex, mode: str) -> FockTwoModeS
 def phase_shift(
     state: FockTwoModeState, theta: float, mode: str = SIGNAL
 ) -> FockTwoModeState:
-    """Phase shift exp(i theta n) on one mode (signal by default)."""
-    ph = np.exp(1j * theta * np.arange(state.cutoff))
-    ph = ph.reshape((-1,) + (1,) * (state.tensor.ndim - 1 - _AXIS[mode]))
+    """Phase shift exp(i theta n) on one mode (signal by default).
+
+    On a sector density it is the factor exp(-i theta delta), whichever mode.
+    """
+    d, axis = state.cutoff, _AXIS[mode]
+    if state.is_pure:
+        ph = np.exp(1j * theta * np.arange(d)).reshape((-1,) + (1,) * (1 - axis))
+    else:
+        ph = np.exp(-1j * theta * np.arange(-(d - 1), d))[:, None, None]
     return FockTwoModeState(tensor=state.tensor * ph)
+
+
+def _diagonal_shifts(a: np.ndarray) -> np.ndarray:
+    """(2D - 1, D, D) stack of a (D, D) array shifted along its diagonal:
+    out[delta + D - 1, n, m] = a[n + delta, m + delta], zero outside a."""
+    d = a.shape[0]
+    pad = np.zeros((3 * d - 2, 3 * d - 2), dtype=a.dtype)
+    pad[d - 1 : 2 * d - 1, d - 1 : 2 * d - 1] = a
+    k = np.arange(2 * d - 1)
+    return np.lib.stride_tricks.sliding_window_view(pad, (d, d))[k, k]
 
 
 def loss(state: FockTwoModeState, t: float, mode: str) -> FockTwoModeState:
     """Attenuation channel with amplitude transmission t on one mode.
 
-    Each branch splits into D Kraus branches; Kraus operator k loses k photons:
-        A_k |m+k> = sqrt(C(m+k, k)) t^m (1-t^2)^(k/2) |m>
+    Kraus operator k loses k photons:
+        A_k |m+k> = w(m, k) |m>,  w(m, k) = sqrt(C(m+k, k)) t^m (1-t^2)^(k/2),
+    so on the sector density the lossy mode's index is multiplied by
+        L[delta][n, n'] = w(n, n' - n) w(n + delta, n' - n):
+    L @ Z for the signal, Z @ L^T for the idler.  A pure state becomes its
+    sector density first.
     """
     if not 0.0 <= t <= 1.0:
         raise DomainError(f"transmission must lie in [0, 1], got {t}")
     if t == 1.0:
         return state
     d = state.cutoff
-    amp = state.tensor.reshape(d, d, -1)
-    # (n_s, n_i, k, branch); the views put the lossy mode's axis first
-    out = np.zeros((d, d, d, amp.shape[2]), dtype=complex)
-    amp_m, out_m = np.moveaxis(amp, _AXIS[mode], 0), np.moveaxis(out, _AXIS[mode], 0)
-    for k in range(d):
-        mk = np.arange(d - k, dtype=float)
-        w = np.sqrt(comb(mk + k, k)) * t**mk * (1.0 - t * t) ** (k / 2)
-        out_m[: d - k, :, k] = w[:, None, None] * amp_m[k:]
-    return FockTwoModeState(tensor=out.reshape(d, d, -1))
+    n = np.arange(d)
+    k = np.maximum(n - n[:, None], 0)
+    # w[m, m + k] = w(m, k), zero below the diagonal
+    w = np.sqrt(comb(n, n[:, None])) * t ** n[:, None] * (1.0 - t * t) ** (k / 2)
+    lmat = w * _diagonal_shifts(w)
+    if state.is_pure:
+        z = state.tensor * _diagonal_shifts(state.tensor).conj()
+    else:
+        z = state.tensor
+    out = lmat @ z if _AXIS[mode] == 0 else z @ lmat.transpose(0, 2, 1)
+    return FockTwoModeState(tensor=out)
 
 
 def norm_deficit(state: FockTwoModeState) -> float:
     """1 - trace; positive values are truncation leakage."""
-    return 1.0 - float(np.sum(np.abs(state.tensor) ** 2))
+    return 1.0 - float(_joint_distribution(state).sum())
 
 
 def photon_stats(state: FockTwoModeState, mode: str = SIGNAL) -> PhotonStats:

@@ -197,10 +197,10 @@ def test_displace_rejects_mixed_state():
         fock.displace(mixed, 0.5, fock.IDLER)
 
 
-def _dense_reference_marginals(d):
-    """Density-matrix reference for the mixture test below: rho is a
+def _dense_reference_joint(d):
+    """Density-matrix reference for the mixture tests below: rho is a
     D^2 x D^2 matrix, unitaries are dense expm of the full generators and
-    loss is a sum over explicit Kraus matrices."""
+    loss is a sum over explicit Kraus matrices.  Returns P(n_s, n_i)."""
     from scipy.linalg import expm
     from scipy.special import factorial
 
@@ -240,7 +240,11 @@ def _dense_reference_marginals(d):
     rho = phase(rho, 0.9, fock.SIGNAL)
     rho = phase(rho, -0.4, fock.IDLER)
     rho = squeeze(rho, 0.2)
-    diag = np.diag(rho).real.reshape(d, d)
+    return np.diag(rho).real.reshape(d, d)
+
+
+def _dense_reference_marginals(d):
+    diag = _dense_reference_joint(d)
     return diag.sum(axis=1), diag.sum(axis=0)
 
 
@@ -257,6 +261,73 @@ def test_mixture_matches_dense_density_reference():
     p_s, p_i = _dense_reference_marginals(d)
     assert np.abs(fock.number_distribution(st, fock.SIGNAL) - p_s).max() < 1e-12
     assert np.abs(fock.number_distribution(st, fock.IDLER) - p_i).max() < 1e-12
+
+
+
+def test_mixture_joint_distribution_matches_dense_density_reference():
+    # a swapped delta or sector index can leave both marginals intact
+    d = 12
+    st = fock.displace(fock.vacuum(d), 0.4, fock.IDLER)
+    st = fock.squeeze(st, 0.15)
+    st = fock.loss(st, 0.7, fock.SIGNAL)
+    st = fock.loss(st, 0.5, fock.IDLER)
+    st = fock.phase_shift(st, 0.9, fock.SIGNAL)
+    st = fock.phase_shift(st, -0.4, fock.IDLER)
+    st = fock.squeeze(st, 0.2)
+    assert not st.is_pure and st.tensor.shape == (2 * d - 1, d, d)
+    joint = fock._joint_distribution(st)
+    assert joint.shape == (d, d)
+    assert np.abs(joint - _dense_reference_joint(d)).max() < 1e-12
+
+
+def test_squeeze_tail_retry_pads_a_mixed_state():
+    # lossy at cutoff 16, then squeezed past it: OPA 2 must double the cutoff
+    def lossy(d):
+        st = fock.squeeze(fock.vacuum(d), 0.3)
+        st = fock.loss(st, 0.7, fock.SIGNAL)
+        st = fock.loss(st, 0.6, fock.IDLER)
+        return fock.phase_shift(st, 1.0)
+
+    small = lossy(16)
+    assert not small.is_pure and small.cutoff == 16
+    assert fock.tail_population(fock._apply_squeeze_unitary(small, 0.6)) >= fock.TAIL_TOL
+    grown = fock.squeeze(small, 0.6)
+    ref = fock.squeeze(lossy(32), 0.6)
+    assert grown.cutoff == ref.cutoff == 32
+    assert np.abs(grown.tensor - ref.tensor).max() < 1e-12
+    assert fock.photon_stats(grown).mean == pytest.approx(fock.photon_stats(ref).mean, abs=1e-12)
+
+
+def test_lossy_pipeline_at_large_cutoff_in_bounded_memory():
+    import tracemalloc
+
+    cfg = InterferometerConfig(g1=0.3, g2=0.3, theta=1.0, t_s=0.5, t_i=0.5, n_i=4.0)
+    ref = fock.pipeline(cfg, cutoff=40)
+    big = fock.pipeline(cfg, cutoff=96)
+    assert abs(big.mean - ref.mean) < 1e-8
+    assert abs(big.variance - ref.variance) < 1e-8
+    # a (D, D, D^2) Kraus-branch stack would hold 268 MB at cutoff 64
+    fock._sectors.cache_clear()
+    tracemalloc.start()
+    try:
+        fock.pipeline(cfg, cutoff=64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128e6
+
+
+def test_squeeze_eigenbasis_is_computed_once_per_cutoff(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+    fock._sectors.cache_clear()
+    first = fock.squeeze(fock.vacuum(20), 0.1)
+    assert calls == [(20, 20, 20)]
+    mixed = fock.loss(first, 0.8, fock.SIGNAL)
+    fock.squeeze(fock.vacuum(20), 0.25)
+    fock.squeeze(mixed, 0.2)
+    assert calls == [(20, 20, 20)]
 
 
 @pytest.mark.parametrize("mode", [fock.SIGNAL, fock.IDLER])
@@ -342,3 +413,12 @@ def test_oracle_imports_only_photon_stats_and_mode_names_from_gaussian():
             assert not any(alias.name.startswith("su11sim") for alias in node.names)
     assert from_su11sim["gaussian"] == {"IDLER", "SIGNAL", "PhotonStats"}
     assert set(from_su11sim) <= {"config", "errors", "gaussian"}
+
+
+@pytest.mark.parametrize("mode", [fock.SIGNAL, fock.IDLER])
+def test_loss_commutes_with_phase(mode):
+    # both are covariant under exp[i phi (n_s - n_i)], so their order is free
+    st = fock.squeeze(fock.displace(fock.vacuum(12), 0.3 + 0.2j, fock.IDLER), 0.2)
+    a = fock.loss(fock.phase_shift(st, 0.7, mode), 0.6, mode)
+    b = fock.phase_shift(fock.loss(st, 0.6, mode), 0.7, mode)
+    assert np.abs(a.tensor - b.tensor).max() < 1e-15
