@@ -12,14 +12,15 @@ those axes, and applies it by the same matrix products whatever the batch, so
 N configurations cost a few array operations; a single state is the stack
 with no batch axes.  signal_moments is the batched propagation the phase
 response reads: one prefix pass over N configs and one tail pass over N
-configs x P phases.  Float64 overflow raises no numpy warning from it, from
+configs x P phases, giving (mean, variance) arrays that metrics reads as
+columns.  Float64 overflow raises no numpy warning from it, from
 run_interferometer or from photon_moments: it shows as non-finite photon
-statistics, which checked_stats turns into a DomainError per point.
+statistics.  metrics turns those into per-row errors by a mask, checked_stats
+into a DomainError for one state; overflow_error is the error of both.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -51,18 +52,6 @@ class PhotonStats:
 
     mean: float
     variance: float
-
-
-def _overflow_is_not_a_warning(fn):
-    """Run fn with numpy's overflow and invalid-value warnings off: a
-    non-finite result is reported per point by checked_stats instead."""
-
-    @functools.wraps(fn)
-    def quiet(*args, **kwargs):
-        with np.errstate(over="ignore", invalid="ignore"):
-            return fn(*args, **kwargs)
-
-    return quiet
 
 
 def _make_state(cov: np.ndarray, disp: np.ndarray) -> GaussianTwoModeState:
@@ -177,13 +166,12 @@ def apply_loss(state: GaussianTwoModeState, t_s, t_i) -> GaussianTwoModeState:
     return _make_state(cov, (scale @ state.disp[..., None])[..., 0])
 
 
-@_overflow_is_not_a_warning
+@np.errstate(over="ignore", invalid="ignore")
 def photon_moments(state: GaussianTwoModeState, mode: str = SIGNAL):
     """Photon-number mean and variance of one mode, arrays over the batch axes.
 
-    Never raises: an entry where float64 overflowed is inf or nan, and
-    checked_stats turns it into that point's DomainError.  For reduced
-    covariance V and displacement d:
+    Never raises: an entry where float64 overflowed is inf or nan, to be
+    reported as overflow_error.  For reduced covariance V and displacement d:
         mean = (tr V - 1)/2 + |d|^2 / 2
         var  = tr(V^2)/2 + d^T V d - 1/4
     """
@@ -196,11 +184,16 @@ def photon_moments(state: GaussianTwoModeState, mode: str = SIGNAL):
     return mean, var
 
 
+def overflow_error(mean: float, variance: float) -> DomainError:
+    """The error of a point whose photon statistics overflowed float64."""
+    return DomainError(f"photon statistics overflow float64 (mean={mean}, "
+                       f"variance={variance}); reduce the gains or the seed")
+
+
 def checked_stats(mean: float, variance: float) -> PhotonStats:
     """One point's photon statistics, or its DomainError if float64 overflowed."""
     if not (math.isfinite(mean) and math.isfinite(variance)):
-        raise DomainError(f"photon statistics overflow float64 (mean={mean}, "
-                          f"variance={variance}); reduce the gains or the seed")
+        raise overflow_error(mean, variance)
     return PhotonStats(mean=mean, variance=variance)
 
 
@@ -227,14 +220,14 @@ def phase_then_second_opa(
     return apply_squeezer(apply_phase(state, theta, SIGNAL), g2)
 
 
-@_overflow_is_not_a_warning
+@np.errstate(over="ignore", invalid="ignore")
 def run_interferometer(cfg: InterferometerConfig) -> GaussianTwoModeState:
     """Propagate vacuum through seed -> OPA1 -> loss -> phase -> OPA2."""
     before_phase = apply_loss(state_after_first_opa(cfg), cfg.t_s, cfg.t_i)
     return phase_then_second_opa(before_phase, cfg.theta, cfg.g2)
 
 
-@_overflow_is_not_a_warning
+@np.errstate(over="ignore", invalid="ignore")
 def signal_moments(cfgs: ConfigStack, thetas) -> tuple[np.ndarray, np.ndarray]:
     """Signal photon-number mean and variance of N stacked configs, arrays
     (P + 2, N): after the phase + OPA2 tail at each of the P rows of thetas,

@@ -8,10 +8,18 @@ fixes them (PhaseResponse); the visibility is m1/m0, and the slope,
 sensitivity and optimum follow in closed form.  The shot-noise level reads the
 signal mean of the same propagation, after OPA1 or after the loss.
 
-phase_responses does this for N configs at once: one prefix pass (seed ->
-OPA1 -> loss) over a stack of N states and one tail pass over N x {0, pi/2,
-pi}, plus each config's own theta when asked for.  phase_response(cfg) is the
-batch of one.
+Everything is computed in columns over a block of N configs (a
+config.ConfigStack): one gaussian.signal_moments call gives the PhaseResponse
+coefficient arrays, and each metric is an array expression over them.  A row
+that fails a check raises nothing: RowErrors keeps the first check each row
+fails, and the row keeps the values computed before it.  The checks run in
+this order: overflow of the mean at the row's own theta; overflow of the tail
+at 0, pi/2, pi; zero flux; g2 <= 0; an unresolved fringe; overflow before the
+phase; N_s <= 0; a phase variance at the optimum that is not positive and
+finite (a variance lost to rounding).  metric_columns is a sweep block's
+path.  The single-config functions (phase_response, visibility_numeric,
+sensitivity, mean_derivative, shot_noise_level, optimal_sensitivity) are its
+batch of one and raise that row's error.
 """
 
 from __future__ import annotations
@@ -19,13 +27,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from . import config, gaussian
-from .config import InterferometerConfig
-from .errors import DomainError, StationaryPointError, UndefinedVisibilityError
+from .config import ConfigStack, InterferometerConfig
+from .errors import DomainError, StationaryPointError, Su11Error, UndefinedVisibilityError
 
 # |m1| at or below this fraction of m0 is rounding noise, not a resolved fringe
 INTERFERENCE_RTOL = 1e-9
@@ -36,6 +44,19 @@ STATIONARY_SIN = 1e-12
 THETA_MARGIN = math.pi / 514
 # the phases whose tails fix the mean and variance coefficients
 FRINGE_PHASES = (0.0, 0.5 * math.pi, math.pi)
+_FRINGE_THETAS = np.array(FRINGE_PHASES)[:, None]
+
+
+def _working_point(c: float) -> float:
+    """theta = acos(c) in (0, pi), THETA_MARGIN away from both ends.  acos is
+    libm's, as the math module takes it: numpy's arccos (and log10) differ
+    from libm's in the last bit for some inputs, so both are taken element by
+    element."""
+    theta = math.acos(min(max(c, -1.0), 1.0))
+    return min(max(theta, THETA_MARGIN), math.pi - THETA_MARGIN)
+
+
+_WORKING_POINT = np.frompyfunc(_working_point, 1, 1)
 
 
 class ShotNoiseConvention(str, Enum):
@@ -64,163 +85,229 @@ class SensitivityReport:
     snl_convention: ShotNoiseConvention
 
 
-def visibility_numeric(cfg: InterferometerConfig) -> float:
-    """Interference contrast of the Gaussian phase response, m1/m0."""
-    return phase_response(cfg).visibility()
-
-
 @dataclass(frozen=True)
 class PhaseResponse:
-    """Signal photon-number statistics of device cfg as functions of
+    """Signal photon-number statistics of the devices cfg as functions of
     c = cos(theta): <N_s> = m0 + m1 c and Var N_s = v0 + v1 c + v2 c^2.
 
-    after_opa1 and after_loss are the signal (mean, variance) before the
-    phase, read by the shot-noise level and checked for overflow only there."""
+    For a ConfigStack every coefficient is an (N,) array; for one
+    InterferometerConfig (phase_response) it is a float.  after_opa1 and
+    after_loss are the signal (mean, variance) before the phase, read by the
+    shot-noise level.  The methods are array expressions and raise nothing;
+    a row is rejected through RowErrors."""
 
-    cfg: InterferometerConfig
-    m0: float
-    m1: float
-    v0: float
-    v1: float
-    v2: float
-    after_opa1: tuple[float, float]
-    after_loss: tuple[float, float]
+    cfg: InterferometerConfig | ConfigStack
+    m0: np.ndarray
+    m1: np.ndarray
+    v0: np.ndarray
+    v1: np.ndarray
+    v2: np.ndarray
+    after_opa1: tuple[np.ndarray, np.ndarray]
+    after_loss: tuple[np.ndarray, np.ndarray]
 
-    def mean(self, theta: float) -> float:
-        return self.m0 + self.m1 * math.cos(theta)
+    def mean(self, theta):
+        return self.m0 + self.m1 * np.cos(theta)
 
-    def variance(self, theta: float) -> float:
-        c = math.cos(theta)
+    def variance(self, theta):
+        c = np.cos(theta)
         return self.v0 + (self.v1 + self.v2 * c) * c
 
-    def visibility(self) -> float:
+    def visibility(self):
         """Interference contrast, the mean at theta=0 minus at theta=pi over
-        their sum: m1/m0."""
-        if self.m0 <= 0.0:
-            raise UndefinedVisibilityError(
-                f"zero total flux for g1={self.cfg.g1}, g2={self.cfg.g2}"
-            )
+        their sum: m1/m0, undefined at zero flux (m0 <= 0)."""
         return self.m1 / self.m0
 
-    def slope(self, theta: float) -> float:
-        return -self.m1 * math.sin(theta)
+    def slope(self, theta):
+        return -self.m1 * np.sin(theta)
 
-    def dtheta2(self, theta: float) -> float:
-        """Error-propagation phase variance Var N_s / (d<N_s>/d theta)^2."""
-        if abs(math.sin(theta)) <= STATIONARY_SIN:
-            raise StationaryPointError(
-                f"theta0={theta} sits on an interference extremum (zero slope)"
-            )
-        slope = self.slope(theta)
-        try:
-            return self.variance(theta) / slope**2
-        except OverflowError:  # slope^2 is past float range, the ratio is not
-            return self.variance(theta) / slope / slope
+    @np.errstate(over="ignore", invalid="ignore")
+    def dtheta2(self, theta):
+        """Error-propagation phase variance Var N_s / (d<N_s>/d theta)^2.
+        Where the slope squared is past float range the ratio need not be,
+        and is taken as Var N_s / slope / slope."""
+        slope, var = self.slope(theta), self.variance(theta)
+        # the square by libm pow, as float ** 2 takes it
+        square = np.float_power(slope, 2.0)
+        return np.where(np.isinf(square), var / slope / slope, var / square)
 
-    def optimal_theta(self) -> float:
+    @np.errstate(over="ignore", invalid="ignore")
+    def optimal_theta(self):
         """Working point in (0, pi) minimizing dtheta2.
 
         Var/(1 - c^2) is stationary where v1 c^2 + 2 b c + v1 = 0, b = v0 + v2.
         The roots multiply to 1; the one in [-1, 1] is taken in the form
         without cancellation, with b^2 - v1^2 = Var(pi) Var(0) >= 0.  c does not
-        change under a common scale of b and v1; scaling both by an exact power
-        of two that brings b near 1 keeps b^2 finite for huge seeds.
+        change under a common scale of b and v1; scaling both by the exact
+        power of two that brings b into [0.5, 1) keeps b^2 finite for huge
+        seeds.
         """
-        scale = -math.frexp(self.v0 + self.v2)[1]
-        b, v1 = math.ldexp(self.v0 + self.v2, scale), math.ldexp(self.v1, scale)
-        disc = max(b - v1, 0.0) * max(b + v1, 0.0)
-        c = -v1 / (b + math.sqrt(disc))
-        theta = math.acos(min(max(c, -1.0), 1.0))
-        return min(max(theta, THETA_MARGIN), math.pi - THETA_MARGIN)
-
-    def shot_noise_level(self, convention: ShotNoiseConvention) -> float:
-        """Classical benchmark phase variance, counted per the chosen convention."""
-        after_loss = convention == ShotNoiseConvention.AFTER_LOSS
-        before_phase = self.after_loss if after_loss else self.after_opa1
-        n_s = gaussian.checked_stats(*before_phase).mean
-        if n_s <= 0.0:
-            raise DomainError(f"no signal photons inside the interferometer (N_s={n_s})")
-        if convention == ShotNoiseConvention.PAIR_AFTER_OPA1:
-            return 1.0 / (2.0 * n_s)
-        return 1.0 / n_s
+        b, exponent = np.frexp(self.v0 + self.v2)
+        v1 = np.ldexp(self.v1, -exponent)
+        disc = np.maximum(b - v1, 0.0) * np.maximum(b + v1, 0.0)
+        return np.asarray(_WORKING_POINT(-v1 / (b + np.sqrt(disc))), dtype=float)
 
 
-@dataclass(frozen=True)
-class ResponsePoint:
-    """One config's signal (mean, variance) from a batched propagation, not
-    yet checked for float64 overflow: after the tail at each of FRINGE_PHASES,
-    then at cfg.theta if it was asked for; and before the phase."""
+class RowErrors:
+    """The first error of each of n rows, None while it has none.  Checks are
+    applied in order, and a row keeps the error of the first check it fails."""
 
-    cfg: InterferometerConfig
-    tails: tuple[tuple[float, float], ...]
-    after_opa1: tuple[float, float]
-    after_loss: tuple[float, float]
+    def __init__(self, n: int):
+        self.errors: list[Su11Error | None] = [None] * n
 
-    def at_theta(self) -> gaussian.PhotonStats:
-        """Signal statistics of the device at its own phase cfg.theta."""
-        return gaussian.checked_stats(*self.tails[len(FRINGE_PHASES)])
+    def check(self, bad: np.ndarray, error: Callable[[int], Su11Error]) -> None:
+        """Give error(i) to each row i where bad holds that has no error yet."""
+        for i, b in enumerate(bad.tolist()):
+            if b and self.errors[i] is None:
+                self.errors[i] = error(i)
 
-    def response(self) -> PhaseResponse:
-        """The phase response; the first tail that overflowed is its error."""
-        s0, sh, sp = (gaussian.checked_stats(*t) for t in self.tails[:len(FRINGE_PHASES)])
-        return PhaseResponse(
-            cfg=self.cfg,
-            m0=sh.mean,
-            m1=0.5 * (s0.mean - sp.mean),
-            v0=sh.variance,
-            v1=0.5 * (s0.variance - sp.variance),
-            v2=0.5 * (s0.variance + sp.variance) - sh.variance,
-            after_opa1=self.after_opa1,
-            after_loss=self.after_loss,
-        )
+    def where_ok(self, column: np.ndarray) -> list[float | None]:
+        """The column as floats, None on every row that failed a check."""
+        return [v if e is None else None for v, e in zip(column.tolist(), self.errors)]
 
 
-def phase_responses(
-    cfgs: Sequence[InterferometerConfig], at_theta: bool = False
-) -> list[ResponsePoint]:
-    """One ResponsePoint per config, in order, from one prefix pass over the
-    stack of configs and one tail pass over configs x FRINGE_PHASES (and
-    each config's own theta when at_theta).  Raises nothing for a config
-    whose statistics overflow: that point's reads raise its DomainError."""
-    stack = config.stack(cfgs)
-    thetas = np.array(FRINGE_PHASES)[:, None]
-    if at_theta:
-        fringe = np.broadcast_to(thetas, (len(FRINGE_PHASES), len(cfgs)))
-        thetas = np.concatenate([fringe, stack.theta[None]])
-    mean, var = gaussian.signal_moments(stack, thetas)
-    # one row of (mean, variance) pairs per tail phase, then after OPA1 and
-    # after the loss
-    *tail_rows, opa1, loss = (list(zip(m, v)) for m, v in zip(mean.tolist(), var.tolist()))
-    return [
-        ResponsePoint(cfg, tails, before_loss, after_loss)
-        for cfg, tails, before_loss, after_loss in zip(cfgs, zip(*tail_rows), opa1, loss)
-    ]
+def _check_finite(rows: RowErrors, mean: np.ndarray, var: np.ndarray) -> None:
+    """Fail the rows whose photon statistics overflowed float64, checking
+    each row of the (P, N) arrays mean and var in turn."""
+    overflow = ~(np.isfinite(mean) & np.isfinite(var))
+    for m, v, bad in zip(mean, var, overflow):
+        rows.check(bad, lambda i, m=m, v=v: gaussian.overflow_error(float(m[i]), float(v[i])))
+
+
+def _response(cfgs: ConfigStack, mean: np.ndarray, var: np.ndarray,
+              rows: RowErrors) -> PhaseResponse:
+    """The phase response of the configs from their signal_moments rows: the
+    tails at FRINGE_PHASES first, after OPA1 and after the loss last.  A tail
+    that overflowed fails its row, in phase order."""
+    tails = len(FRINGE_PHASES)
+    _check_finite(rows, mean[:tails], var[:tails])
+    (mean0, mean_h, mean_pi), (var0, var_h, var_pi) = mean[:tails], var[:tails]
+    return PhaseResponse(
+        cfgs, mean_h, 0.5 * (mean0 - mean_pi), var_h, 0.5 * (var0 - var_pi),
+        0.5 * (var0 + var_pi) - var_h, (mean[-2], var[-2]), (mean[-1], var[-1]))
+
+
+def _visibility(r: PhaseResponse, rows: RowErrors) -> np.ndarray:
+    """m1/m0, failing the rows with zero total flux."""
+    rows.check(r.m0 <= 0.0, lambda i: UndefinedVisibilityError(
+        f"zero total flux for g1={float(r.cfg.g1[i])}, g2={float(r.cfg.g2[i])}"))
+    return r.visibility()
+
+
+def _check_resolved(r: PhaseResponse, rows: RowErrors) -> None:
+    """Fail the rows whose response carries no resolved fringe."""
+    rows.check(np.abs(r.m1) <= INTERFERENCE_RTOL * np.abs(r.m0), lambda i: DomainError(
+        f"interference term not resolved: fringe amplitude {abs(r.m1[i]):.3g} "
+        f"is below {INTERFERENCE_RTOL:g} of the mean photon number {r.m0[i]:.3g}"))
+
+
+def _shot_noise(r: PhaseResponse, rows: RowErrors, convention: ShotNoiseConvention):
+    """Classical benchmark phase variance, counted per the chosen convention
+    from the signal mean before the phase; fails the rows where that mean
+    overflowed or is empty."""
+    after_loss = convention == ShotNoiseConvention.AFTER_LOSS
+    n_s, var = r.after_loss if after_loss else r.after_opa1
+    _check_finite(rows, n_s[None], var[None])
+    rows.check(n_s <= 0.0, lambda i: DomainError(
+        f"no signal photons inside the interferometer (N_s={float(n_s[i])})"))
+    if convention == ShotNoiseConvention.PAIR_AFTER_OPA1:
+        return 1.0 / (2.0 * n_s)
+    return 1.0 / n_s
+
+
+def _optimum(r: PhaseResponse, rows: RowErrors, convention: ShotNoiseConvention):
+    """(theta_opt, dtheta2, shot-noise level, dB against it) of the phase
+    variance minimized over the working point theta0 in (0, pi).  Fails, in
+    this order, the rows with g2 <= 0, an unresolved fringe, a signal before
+    the phase that overflowed or is empty, and a phase variance at the optimum
+    that is not positive and finite."""
+    rows.check(r.cfg.g2 <= 0.0,
+               lambda i: DomainError("g2 must be > 0: no interference at the second OPA"))
+    _check_resolved(r, rows)
+    theta = r.optimal_theta()
+    dtheta2 = r.dtheta2(theta)
+    snl = _shot_noise(r, rows, convention)
+    # a variance lost to rounding (tiny photon numbers) leaves no optimum
+    rows.check(~(np.isfinite(dtheta2) & (dtheta2 > 0.0)), lambda i: DomainError(
+        f"sensitivity not resolved: the phase variance at the optimal working point "
+        f"is {dtheta2[i]:.3g}"))
+    # the failed rows' logarithm is not taken: math.log10 raises on a ratio <= 0
+    ratio = (snl / dtheta2).tolist()
+    db = np.array([0.0 if e is not None else 10.0 * math.log10(q)
+                   for q, e in zip(ratio, rows.errors)])
+    return theta, dtheta2, snl, db
+
+
+@np.errstate(all="ignore")
+def metric_columns(
+    cfgs: ConfigStack, wanted: Sequence[str], convention: ShotNoiseConvention
+) -> tuple[dict[str, list[float | None]], list[Su11Error | None]]:
+    """The wanted metrics (mean, visibility, dtheta2, db_vs_shotnoise) of a
+    block of configs from one batched propagation, each a column with None
+    where the row failed a check before the metric was read, and each row's
+    first error.  The mean rides the tail pass as a fourth phase, each
+    config's own theta."""
+    n = len(cfgs.theta)
+    rows = RowErrors(n)
+    thetas = _FRINGE_THETAS
+    if "mean" in wanted:
+        thetas = np.concatenate([np.broadcast_to(thetas, (len(FRINGE_PHASES), n)),
+                                 cfgs.theta[None]])
+    mean, var = gaussian.signal_moments(cfgs, thetas)
+    columns: dict[str, list[float | None]] = {}
+    if "mean" in wanted:
+        own = len(FRINGE_PHASES)  # the row of each config's own theta
+        _check_finite(rows, mean[own:own + 1], var[own:own + 1])
+        columns["mean"] = rows.where_ok(mean[own])
+    if set(wanted) - {"mean"}:
+        r = _response(cfgs, mean, var, rows)
+        if "visibility" in wanted:
+            columns["visibility"] = rows.where_ok(_visibility(r, rows))
+        if {"dtheta2", "db_vs_shotnoise"} & set(wanted):
+            _, dtheta2, _, db = _optimum(r, rows, convention)
+            columns["dtheta2"], columns["db_vs_shotnoise"] = map(rows.where_ok, (dtheta2, db))
+    return {m: columns[m] for m in wanted}, rows.errors
+
+
+@np.errstate(all="ignore")
+def _one(cfg: InterferometerConfig, read: Callable[[PhaseResponse, RowErrors], Any]):
+    """read(response, rows) of cfg as a block of one row whose tails are
+    checked; raises that row's first error, else returns what read did."""
+    cfgs = config.stack([cfg])
+    rows = RowErrors(1)
+    out = read(_response(cfgs, *gaussian.signal_moments(cfgs, _FRINGE_THETAS), rows), rows)
+    if rows.errors[0] is not None:
+        raise rows.errors[0]
+    return out
 
 
 def phase_response(cfg: InterferometerConfig) -> PhaseResponse:
     """Mean and variance coefficients from one propagation to the phase and
-    the phase + OPA2 tail at theta = 0, pi/2, pi: the batch of one."""
-    return phase_responses([cfg])[0].response()
+    the phase + OPA2 tail at theta = 0, pi/2, pi, as floats: the batch of one."""
+    r = _one(cfg, lambda r, rows: r)
+    return PhaseResponse(cfg, *(c[0] for c in (r.m0, r.m1, r.v0, r.v1, r.v2)),
+                         *(tuple(c[0] for c in pair) for pair in (r.after_opa1, r.after_loss)))
 
 
-def _sensing_response(r: PhaseResponse) -> PhaseResponse:
-    """The phase response, rejected when it carries no resolved fringe."""
-    if abs(r.m1) <= INTERFERENCE_RTOL * abs(r.m0):
-        raise DomainError(
-            f"interference term not resolved: fringe amplitude {abs(r.m1):.3g} "
-            f"is below {INTERFERENCE_RTOL:g} of the mean photon number {r.m0:.3g}"
-        )
-    return r
+def visibility_numeric(cfg: InterferometerConfig) -> float:
+    """Interference contrast of the Gaussian phase response, m1/m0."""
+    return float(_one(cfg, _visibility)[0])
 
 
 def mean_derivative(cfg: InterferometerConfig, theta0: float) -> float:
     """d<N_s>/d theta at theta0: -m1 sin(theta0)."""
-    return phase_response(cfg).slope(theta0)
+    return float(_one(cfg, lambda r, rows: r.slope(theta0))[0])
 
 
 def sensitivity(cfg: InterferometerConfig, theta0: float) -> float:
     """Error-propagation phase variance Var(N_s) / |d<N_s>/d theta|^2 at theta0."""
-    return _sensing_response(phase_response(cfg)).dtheta2(theta0)
+
+    def read(r: PhaseResponse, rows: RowErrors) -> np.ndarray:
+        _check_resolved(r, rows)
+        rows.check(np.abs(np.sin([theta0])) <= STATIONARY_SIN, lambda i: StationaryPointError(
+            f"theta0={theta0} sits on an interference extremum (zero slope)"))
+        return r.dtheta2(theta0)
+
+    return float(_one(cfg, read)[0])
 
 
 def shot_noise_level(
@@ -229,34 +316,14 @@ def shot_noise_level(
 ) -> float:
     """Classical benchmark phase variance, counted per the chosen convention,
     from the signal mean of the device's phase response."""
-    return phase_response(cfg).shot_noise_level(convention)
-
-
-def sensitivity_report(
-    response: PhaseResponse, convention: ShotNoiseConvention
-) -> SensitivityReport:
-    """Minimize the phase variance of a given response over the working point
-    theta0 in (0, pi) and compare it with the shot-noise level."""
-    if response.cfg.g2 <= 0.0:
-        raise DomainError("g2 must be > 0: no interference at the second OPA")
-    _sensing_response(response)
-    theta_opt = response.optimal_theta()
-    dtheta2 = response.dtheta2(theta_opt)
-
-    snl = response.shot_noise_level(convention)
-    db = 10.0 * math.log10(snl / dtheta2)
-    return SensitivityReport(
-        theta_opt=float(theta_opt),
-        dtheta2=float(dtheta2),
-        dtheta2_shotnoise=float(snl),
-        db_vs_shotnoise=float(db),
-        snl_convention=convention,
-    )
+    return float(_one(cfg, lambda r, rows: _shot_noise(r, rows, convention))[0])
 
 
 def optimal_sensitivity(
     cfg: InterferometerConfig,
     convention: ShotNoiseConvention = ShotNoiseConvention.AFTER_OPA1,
 ) -> SensitivityReport:
-    """Minimize the phase variance over the working point theta0 in (0, pi)."""
-    return sensitivity_report(phase_response(cfg), convention)
+    """Minimize the phase variance over the working point theta0 in (0, pi)
+    and compare it with the shot-noise level."""
+    columns = _one(cfg, lambda r, rows: _optimum(r, rows, convention))
+    return SensitivityReport(*(float(c[0]) for c in columns), snl_convention=convention)

@@ -1,5 +1,13 @@
 """Parameter sweeps, figure-data presets, the three-way validation harness
-and deterministic CSV/JSON emission."""
+and deterministic CSV/JSON emission.
+
+A sweep is evaluated in blocks of BLOCK_POINTS grid points, each as columns
+from end to end: the block's axis values become one config.ConfigStack by
+array operations (config_at is its batch of one), metrics.metric_columns
+propagates it once and returns one column per metric with each row's first
+error, and the block's rows are built from those columns.  SweepSpec rejects
+every range whose grid could hold an invalid configuration, so a block needs
+no per-row config check."""
 
 from __future__ import annotations
 
@@ -12,7 +20,7 @@ from typing import Any, Callable
 import numpy as np
 
 from . import __version__, closed_form, fock, gaussian, metrics
-from .config import InterferometerConfig
+from .config import ConfigStack, InterferometerConfig
 from .errors import DomainError, Su11Error, UndefinedVisibilityError
 from .metrics import ShotNoiseConvention
 
@@ -59,6 +67,9 @@ class SweepSpec:
             raise DomainError(f"steps must lie in [2, {MAX_STEPS}], got {self.steps}")
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
             raise DomainError("sweep range must be finite")
+        if not math.isfinite(self.hi - self.lo):
+            raise DomainError(f"sweep range span hi - lo must be finite, got "
+                              f"lo={self.lo!r}, hi={self.hi!r}")
         lo, hi = min(self.lo, self.hi), max(self.lo, self.hi)
         if self.axis in ("t_s2", "t_i2", "t_both2") and not (0.0 <= lo and hi <= 1.0):
             raise DomainError(f"{self.axis} range must lie in [0, 1]")
@@ -80,71 +91,51 @@ def grid(spec: SweepSpec) -> np.ndarray:
     return np.linspace(spec.lo, spec.hi, spec.steps)
 
 
-def config_at(spec: SweepSpec, x: float) -> InterferometerConfig:
-    """Resolve the configuration at one axis value, composing base transmissions."""
+# the axes that set one device parameter to the axis value
+_PARAMETER_AXES = {"theta": "theta", "n_i": "n_i", "G1": "g1", "G2": "g2"}
+
+
+def _block_configs(spec: SweepSpec, xs: np.ndarray) -> ConfigStack:
+    """The configurations at the axis values xs as one stack, composing base
+    transmissions.  Every value on the grid of a valid spec resolves to a
+    valid configuration."""
     cfg = spec.fixed
     ts2 = cfg.t_s**2 if spec.base_ts2 is None else spec.base_ts2
     ti2 = cfg.t_i**2 if spec.base_ti2 is None else spec.base_ti2
     if spec.axis in ("t_s2", "t_both2"):
-        ts2 = x if spec.axis_total or spec.base_ts2 is None else spec.base_ts2 * x
+        ts2 = xs if spec.axis_total or spec.base_ts2 is None else spec.base_ts2 * xs
     if spec.axis in ("t_i2", "t_both2"):
-        ti2 = x if spec.axis_total or spec.base_ti2 is None else spec.base_ti2 * x
-    kwargs = dict(
-        g1=cfg.g1, g2=cfg.g2, theta=cfg.theta,
-        t_s=math.sqrt(ts2), t_i=math.sqrt(ti2), n_i=cfg.n_i,
-    )
-    if spec.axis == "theta":
-        kwargs["theta"] = x
-    elif spec.axis == "n_i":
-        kwargs["n_i"] = x
-    elif spec.axis == "G1":
-        kwargs["g1"] = x
-    elif spec.axis == "G2":
-        kwargs["g2"] = x
-    return InterferometerConfig(**kwargs)
+        ti2 = xs if spec.axis_total or spec.base_ti2 is None else spec.base_ti2 * xs
+    params = dict(g1=cfg.g1, g2=cfg.g2, theta=cfg.theta,
+                  t_s=np.sqrt(ts2), t_i=np.sqrt(ti2), n_i=cfg.n_i)
+    if spec.axis in _PARAMETER_AXES:
+        params[_PARAMETER_AXES[spec.axis]] = xs
+    return ConfigStack(*(np.full(xs.shape, params[name], dtype=float)
+                         for name in ConfigStack._fields))
+
+
+def config_at(spec: SweepSpec, x: float) -> InterferometerConfig:
+    """Resolve the configuration at one axis value, composing base
+    transmissions: the batch of one of a block's stack."""
+    return InterferometerConfig(*(float(a[0]) for a in _block_configs(spec, np.array([x]))))
 
 
 def _evaluate_point(
-    spec: SweepSpec, x: float, point: metrics.ResponsePoint | Su11Error
+    x: float, values: dict[str, float | None], error: Su11Error | None
 ) -> SweepRow:
-    """One row, read from its config's point of the block's batched
-    propagation, or the error that resolving its config raised."""
-    values: dict[str, float | None] = {m: None for m in spec.metrics}
-    if isinstance(point, Su11Error):
-        return SweepRow(axis_value=float(x), values=values, error=str(point))
-    try:
-        if "mean" in spec.metrics:
-            values["mean"] = point.at_theta().mean
-        if set(spec.metrics) - {"mean"}:
-            # every metric but the mean reads the point's one phase response
-            response = point.response()
-            if "visibility" in spec.metrics:
-                values["visibility"] = response.visibility()
-            if "dtheta2" in spec.metrics or "db_vs_shotnoise" in spec.metrics:
-                report = metrics.sensitivity_report(response, spec.snl_convention)
-                for m in ("dtheta2", "db_vs_shotnoise"):
-                    if m in values:
-                        values[m] = getattr(report, m)
-    except Su11Error as exc:
-        return SweepRow(axis_value=float(x), values=values, error=str(exc))
-    return SweepRow(axis_value=float(x), values=values, error=None)
+    """One row from its block's columns: its metric values and first error."""
+    return SweepRow(axis_value=x, values=values, error=None if error is None else str(error))
 
 
 def _evaluate_block(spec: SweepSpec, xs: np.ndarray) -> list[SweepRow]:
-    """The rows of a block of grid points: the configs that resolve are
-    propagated in one batched call, with the mean riding the tail as a fourth
-    phase at each config's own theta; then each row is assembled."""
-    cfgs: list[InterferometerConfig | Su11Error] = []
-    for x in xs:
-        try:
-            cfgs.append(config_at(spec, x))
-        except Su11Error as exc:
-            cfgs.append(exc)
-    resolved = [c for c in cfgs if isinstance(c, InterferometerConfig)]
-    points = iter(metrics.phase_responses(resolved, at_theta="mean" in spec.metrics))
+    """The rows of a block of grid points: their configs as one stack, its
+    metric columns from one batched propagation, then one row per point."""
+    columns, errors = metrics.metric_columns(
+        _block_configs(spec, xs), spec.metrics, spec.snl_convention
+    )
     return [
-        _evaluate_point(spec, x, c if isinstance(c, Su11Error) else next(points))
-        for x, c in zip(xs, cfgs)
+        _evaluate_point(x, dict(zip(spec.metrics, values)), error)
+        for x, error, *values in zip(xs.tolist(), errors, *columns.values())
     ]
 
 
@@ -268,6 +259,9 @@ def config_values(entries: dict[str, str], overrides: dict | None = None) -> dic
 
 def device_from_values(values: dict) -> tuple[InterferometerConfig, ShotNoiseConvention]:
     """The device and the shot-noise convention that typed config values name."""
+    for key in ("ts2", "ti2"):
+        if not 0.0 <= values[key] <= 1.0:  # also rejects nan
+            raise DomainError(f"{key} must lie in [0, 1], got {values[key]!r}")
     cfg = InterferometerConfig(
         g1=values["g1"], g2=values["g2"], theta=values["theta"],
         t_s=math.sqrt(values["ts2"]), t_i=math.sqrt(values["ti2"]), n_i=values["n_i"],

@@ -8,9 +8,13 @@ from scipy.optimize import minimize_scalar
 
 from su11sim import InterferometerConfig
 from su11sim import closed_form as cf
+from su11sim import config
 from su11sim import gaussian
 from su11sim import metrics as m
-from su11sim.errors import DomainError, StationaryPointError, UndefinedVisibilityError
+from su11sim import sweep
+from su11sim.errors import (
+    DomainError, StationaryPointError, Su11Error, UndefinedVisibilityError,
+)
 from su11sim.metrics import ShotNoiseConvention
 
 
@@ -120,6 +124,18 @@ class TestOptimalSensitivity:
         with pytest.raises(DomainError):
             m.optimal_sensitivity(cfg(ts2=0.0))
 
+    def test_variance_lost_to_rounding_is_domain_error(self):
+        # at g ~ 1e-100 the signal variance rounds to 0 at every phase, so the
+        # phase variance has no minimum
+        c = cfg(g1=1e-100, g2=1e-100, ts2=0.5, ti2=0.5, n_i=1e100)
+        with pytest.raises(DomainError, match="sensitivity not resolved"):
+            m.optimal_sensitivity(c)
+        spec = sweep.SweepSpec(axis="n_i", lo=1e100, hi=2e100, steps=2, fixed=c,
+                               metrics=("mean", "dtheta2"))
+        for row in sweep.run_sweep(spec):
+            assert row.error.startswith("sensitivity not resolved")
+            assert row.values["mean"] > 0.0 and row.values["dtheta2"] is None
+
     def test_seeding_improves_lossy_idler_case(self):
         conv = ShotNoiseConvention.PAIR_AFTER_OPA1
         db0 = m.optimal_sensitivity(cfg(ti2=0.75), conv).db_vs_shotnoise
@@ -197,16 +213,35 @@ class TestPhaseResponse:
         assert calls == {"loss": 1, "phase": 1, "closed_form": 0}
         assert pairs == {"loss": 1, "phase": 3}
 
-    def test_overflow_raises_only_domain_error(self):
-        # library callers get the typed error and no numpy RuntimeWarning
+    @pytest.mark.parametrize("call, error", [
+        (lambda: m.phase_response(cfg(n_i=1.7e308)), "overflow float64"),
+        (lambda: m.optimal_sensitivity(cfg(n_i=1e160)), None),
+        (lambda: m.visibility_numeric(cfg(g1=0.0, g2=0.0)), "zero total flux"),
+        (lambda: m.sensitivity(cfg(ts2=1e-30), 1.0), "interference term not resolved"),
+        (lambda: m.optimal_sensitivity(cfg(g2=0.0)), "g2 must be > 0"),
+        # zero-flux, g2 = 0 and overflowing rows in one block
+        (lambda: sweep.run_sweep(sweep.SweepSpec(
+            axis="G1", lo=0.0, hi=400.0, steps=9, fixed=cfg(g2=0.0),
+            metrics=sweep.METRICS)), None),
+    ], ids=["response-overflow", "optimum-huge-seed", "zero-flux", "unresolved",
+            "no-second-gain", "sweep-error-rows"])
+    def test_overflow_raises_only_domain_error(self, call, error):
+        # library callers get the typed error and no numpy RuntimeWarning, also
+        # from the array arithmetic on rows that failed a check
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(DomainError, match="overflow float64"):
-                m.phase_response(cfg(n_i=1.7e308))
+            if error is None:
+                call()
+            else:
+                with pytest.raises(Su11Error, match=error):
+                    call()
 
     def test_batch_of_none_is_empty(self):
-        assert m.phase_responses([]) == []
-        assert m.phase_responses([], at_theta=True) == []
+        conv = ShotNoiseConvention.AFTER_OPA1
+        for wanted in (("visibility",), ("mean", "visibility")):
+            assert m.metric_columns(config.stack([]), wanted, conv) == (
+                {name: [] for name in wanted}, []
+            )
 
     def test_unresolved_interference_rejected(self):
         for c in (cfg(ts2=0.0), cfg(g1=0.0), cfg(ts2=1e-30)):

@@ -48,6 +48,10 @@ class TestSweepSpec:
         with pytest.raises(DomainError):
             make_spec(axis="t_s2", lo=0.0, hi=1.5)
 
+    def test_range_whose_span_overflows_is_rejected(self):
+        with pytest.raises(DomainError, match="hi - lo must be finite"):
+            make_spec(lo=-1.7e308, hi=1.7e308, steps=3)
+
     def test_base_transmission_range(self):
         with pytest.raises(DomainError):
             make_spec(base_ts2=0.0)
@@ -176,7 +180,7 @@ class TestRunSweep:
                 if "mean" in wanted:
                     values["mean"] = gaussian.photon_stats(gaussian.run_interferometer(cfg)).mean
                 if "visibility" in wanted:
-                    values["visibility"] = metrics.phase_response(cfg).visibility()
+                    values["visibility"] = metrics.visibility_numeric(cfg)
                 if {"dtheta2", "db_vs_shotnoise"} & set(wanted):
                     report = metrics.optimal_sensitivity(cfg, convention)
                     for m in ("dtheta2", "db_vs_shotnoise"):
@@ -416,6 +420,35 @@ class TestCli:
         err = capsys.readouterr().err
         assert "interference term not resolved" in err
         assert "extremum" not in err
+
+    @pytest.mark.parametrize("command", ["sensitivity", "visibility", "sweep"])
+    @pytest.mark.parametrize("flag, value", [("--ts2", "-0.5"), ("--ti2", "-1"),
+                                             ("--ts2", "1.5"), ("--ti2", "nan")])
+    def test_transmission_outside_unit_interval_names_the_key(self, command, flag, value,
+                                                              capsys):
+        argv = [command, "--g1", "0.1", "--g2", "0.1", f"{flag}={value}"]
+        if command == "sweep":
+            argv += ["--axis", "theta"]
+        assert cli.main(argv) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == f"su11: error: {flag[2:]} must lie in [0, 1], got {float(value)!r}\n"
+
+    def test_config_file_transmission_outside_unit_interval(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("g1 = 0.1\ng2 = 0.1\naxis = t_s2\nti2 = -0.25\n")
+        assert cli.main(["sweep", "--config", str(cfg)]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == "su11: error: ti2 must lie in [0, 1], got -0.25\n"
+
+    def test_theta_range_whose_span_overflows_is_usage_error(self, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = cli.main(["sweep", "--axis", "theta", "--lo=-1.7e308", "--hi", "1.7e308",
+                           "--steps", "3"])
+        assert rc == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and caught == []
+        assert captured.err.startswith("su11: error: sweep range span hi - lo must be finite")
 
     def test_config_bool_typo_names_the_key(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
