@@ -56,9 +56,6 @@ def _working_point(c: float) -> float:
     return min(max(theta, THETA_MARGIN), math.pi - THETA_MARGIN)
 
 
-_WORKING_POINT = np.frompyfunc(_working_point, 1, 1)
-
-
 class ShotNoiseConvention(str, Enum):
     """How the classical reference photon number is counted.
 
@@ -128,7 +125,7 @@ class PhaseResponse:
         slope, var = self.slope(theta), self.variance(theta)
         # the square by libm pow, as float ** 2 takes it
         square = np.float_power(slope, 2.0)
-        return np.where(np.isinf(square), var / slope / slope, var / square)
+        return np.where(np.isfinite(square), var / square, var / slope / slope)
 
     @np.errstate(over="ignore", invalid="ignore")
     def optimal_theta(self):
@@ -144,7 +141,8 @@ class PhaseResponse:
         b, exponent = np.frexp(self.v0 + self.v2)
         v1 = np.ldexp(self.v1, -exponent)
         disc = np.maximum(b - v1, 0.0) * np.maximum(b + v1, 0.0)
-        return np.asarray(_WORKING_POINT(-v1 / (b + np.sqrt(disc))), dtype=float)
+        c = -v1 / (b + np.sqrt(disc))
+        return np.reshape([_working_point(x) for x in np.ravel(c).tolist()], np.shape(c))
 
 
 class RowErrors:
