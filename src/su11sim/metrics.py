@@ -11,7 +11,7 @@ signal mean of the same propagation, after OPA1 or after the loss.
 Everything is computed in columns over a block of N configs (a
 config.ConfigStack): one gaussian.signal_moments call gives the PhaseResponse
 coefficient arrays, and each metric is an array expression over them.  A row
-that fails a check raises nothing: RowErrors keeps the first check each row
+that fails a check raises nothing: its Block keeps the first check each row
 fails, and the row keeps the values computed before it.  The checks run in
 this order: overflow of the mean at the row's own theta; overflow of the tail
 at 0, pi/2, pi; zero flux; g2 <= 0; an unresolved fringe; overflow before the
@@ -91,7 +91,7 @@ class PhaseResponse:
     InterferometerConfig (phase_response) it is a float.  after_opa1 and
     after_loss are the signal (mean, variance) before the phase, read by the
     shot-noise level.  The methods are array expressions and raise nothing;
-    a row is rejected through RowErrors."""
+    a row is rejected through its Block."""
 
     cfg: InterferometerConfig | ConfigStack
     m0: np.ndarray
@@ -145,93 +145,95 @@ class PhaseResponse:
         return np.reshape([_working_point(x) for x in np.ravel(c).tolist()], np.shape(c))
 
 
-class RowErrors:
-    """The first error of each of n rows, None while it has none.  Checks are
-    applied in order, and a row keeps the error of the first check it fails."""
+class Block:
+    """N configs after one batched propagation: the rows of
+    gaussian.signal_moments, which of their statistics are finite, and each
+    config's first error, None while it has none.  Checks are applied in
+    order; a config keeps the error of the first check it fails."""
 
-    def __init__(self, n: int):
-        self.errors: list[Su11Error | None] = [None] * n
+    def __init__(self, cfgs: ConfigStack, thetas: np.ndarray):
+        self.cfgs = cfgs
+        self.mean, self.var = gaussian.signal_moments(cfgs, thetas)
+        self.finite = np.isfinite(self.mean) & np.isfinite(self.var)
+        self.errors: list[Su11Error | None] = [None] * len(cfgs.theta)
 
-    def check(self, bad: np.ndarray, error: Callable[[int], Su11Error]) -> None:
-        """Give error(i) to each row i where bad holds that has no error yet."""
-        for i, b in enumerate(bad.tolist()):
-            if b and self.errors[i] is None:
+    def require(self, ok: np.ndarray, error: Callable[[int], Su11Error]) -> None:
+        """Give error(i) to each config i where ok fails that has no error yet."""
+        for i, good in enumerate(ok.tolist()):
+            if not good and self.errors[i] is None:
                 self.errors[i] = error(i)
 
+    def require_finite(self, k: int) -> None:
+        """Fail the configs whose statistics in moments row k overflowed float64."""
+        mean, var = self.mean[k], self.var[k]
+        self.require(self.finite[k],
+                     lambda i: gaussian.overflow_error(float(mean[i]), float(var[i])))
+
     def where_ok(self, column: np.ndarray) -> list[float | None]:
-        """The column as floats, None on every row that failed a check."""
+        """The column as floats, None for every config that failed a check."""
         return [v if e is None else None for v, e in zip(column.tolist(), self.errors)]
 
 
-def _check_finite(rows: RowErrors, mean: np.ndarray, var: np.ndarray) -> None:
-    """Fail the rows whose photon statistics overflowed float64, checking
-    each row of the (P, N) arrays mean and var in turn."""
-    overflow = ~(np.isfinite(mean) & np.isfinite(var))
-    for m, v, bad in zip(mean, var, overflow):
-        rows.check(bad, lambda i, m=m, v=v: gaussian.overflow_error(float(m[i]), float(v[i])))
-
-
-def _response(cfgs: ConfigStack, mean: np.ndarray, var: np.ndarray,
-              rows: RowErrors) -> PhaseResponse:
-    """The phase response of the configs from their signal_moments rows: the
+def _response(block: Block) -> PhaseResponse:
+    """The phase response of the block's configs from its moments rows: the
     tails at FRINGE_PHASES first, after OPA1 and after the loss last.  A tail
-    that overflowed fails its row, in phase order."""
-    tails = len(FRINGE_PHASES)
-    _check_finite(rows, mean[:tails], var[:tails])
-    (mean0, mean_h, mean_pi), (var0, var_h, var_pi) = mean[:tails], var[:tails]
+    that overflowed fails its config, in phase order."""
+    for k in range(len(FRINGE_PHASES)):
+        block.require_finite(k)
+    mean, var = block.mean, block.var
     return PhaseResponse(
-        cfgs, mean_h, 0.5 * (mean0 - mean_pi), var_h, 0.5 * (var0 - var_pi),
-        0.5 * (var0 + var_pi) - var_h, (mean[-2], var[-2]), (mean[-1], var[-1]))
+        block.cfgs, mean[1], 0.5 * (mean[0] - mean[2]), var[1], 0.5 * (var[0] - var[2]),
+        0.5 * (var[0] + var[2]) - var[1], (mean[-2], var[-2]), (mean[-1], var[-1]))
 
 
-def _visibility(r: PhaseResponse, rows: RowErrors) -> np.ndarray:
-    """m1/m0, failing the rows with zero total flux."""
-    rows.check(r.m0 <= 0.0, lambda i: UndefinedVisibilityError(
+def _visibility(r: PhaseResponse, block: Block) -> np.ndarray:
+    """m1/m0, failing the configs with zero total flux."""
+    block.require(r.m0 > 0.0, lambda i: UndefinedVisibilityError(
         f"zero total flux for g1={float(r.cfg.g1[i])}, g2={float(r.cfg.g2[i])}"))
     return r.visibility()
 
 
-def _check_resolved(r: PhaseResponse, rows: RowErrors) -> None:
-    """Fail the rows whose response carries no resolved fringe."""
-    rows.check(np.abs(r.m1) <= INTERFERENCE_RTOL * np.abs(r.m0), lambda i: DomainError(
+def _require_resolved(r: PhaseResponse, block: Block) -> None:
+    """Fail the configs whose response carries no resolved fringe."""
+    block.require(np.abs(r.m1) > INTERFERENCE_RTOL * np.abs(r.m0), lambda i: DomainError(
         f"interference term not resolved: fringe amplitude {abs(r.m1[i]):.3g} "
         f"is below {INTERFERENCE_RTOL:g} of the mean photon number {r.m0[i]:.3g}"))
 
 
-def _shot_noise(r: PhaseResponse, rows: RowErrors, convention: ShotNoiseConvention):
+def _shot_noise(r: PhaseResponse, block: Block, convention: ShotNoiseConvention):
     """Classical benchmark phase variance, counted per the chosen convention
-    from the signal mean before the phase; fails the rows where that mean
+    from the signal mean before the phase; fails the configs where that mean
     overflowed or is empty."""
     after_loss = convention == ShotNoiseConvention.AFTER_LOSS
-    n_s, var = r.after_loss if after_loss else r.after_opa1
-    _check_finite(rows, n_s[None], var[None])
-    rows.check(n_s <= 0.0, lambda i: DomainError(
+    block.require_finite(-1 if after_loss else -2)
+    n_s = (r.after_loss if after_loss else r.after_opa1)[0]
+    block.require(n_s > 0.0, lambda i: DomainError(
         f"no signal photons inside the interferometer (N_s={float(n_s[i])})"))
     if convention == ShotNoiseConvention.PAIR_AFTER_OPA1:
         return 1.0 / (2.0 * n_s)
     return 1.0 / n_s
 
 
-def _optimum(r: PhaseResponse, rows: RowErrors, convention: ShotNoiseConvention):
+def _optimum(r: PhaseResponse, block: Block, convention: ShotNoiseConvention):
     """(theta_opt, dtheta2, shot-noise level, dB against it) of the phase
     variance minimized over the working point theta0 in (0, pi).  Fails, in
-    this order, the rows with g2 <= 0, an unresolved fringe, a signal before
-    the phase that overflowed or is empty, and a phase variance at the optimum
-    that is not positive and finite."""
-    rows.check(r.cfg.g2 <= 0.0,
-               lambda i: DomainError("g2 must be > 0: no interference at the second OPA"))
-    _check_resolved(r, rows)
+    this order, the configs with g2 <= 0, an unresolved fringe, a signal
+    before the phase that overflowed or is empty, and a phase variance at the
+    optimum that is not positive and finite."""
+    block.require(r.cfg.g2 > 0.0,
+                  lambda i: DomainError("g2 must be > 0: no interference at the second OPA"))
+    _require_resolved(r, block)
     theta = r.optimal_theta()
     dtheta2 = r.dtheta2(theta)
-    snl = _shot_noise(r, rows, convention)
+    snl = _shot_noise(r, block, convention)
     # a variance lost to rounding (tiny photon numbers) leaves no optimum
-    rows.check(~(np.isfinite(dtheta2) & (dtheta2 > 0.0)), lambda i: DomainError(
+    block.require(np.isfinite(dtheta2) & (dtheta2 > 0.0), lambda i: DomainError(
         f"sensitivity not resolved: the phase variance at the optimal working point "
         f"is {dtheta2[i]:.3g}"))
-    # the failed rows' logarithm is not taken: math.log10 raises on a ratio <= 0
+    # the failed configs' logarithm is not taken: math.log10 raises on a ratio <= 0
     ratio = (snl / dtheta2).tolist()
     db = np.array([0.0 if e is not None else 10.0 * math.log10(q)
-                   for q, e in zip(ratio, rows.errors)])
+                   for q, e in zip(ratio, block.errors)])
     return theta, dtheta2, snl, db
 
 
@@ -241,47 +243,44 @@ def metric_columns(
 ) -> tuple[dict[str, list[float | None]], list[Su11Error | None]]:
     """The wanted metrics (mean, visibility, dtheta2, db_vs_shotnoise) of a
     block of configs from one batched propagation, each a column with None
-    where the row failed a check before the metric was read, and each row's
-    first error.  The mean rides the tail pass as a fourth phase, each
-    config's own theta."""
-    n = len(cfgs.theta)
-    rows = RowErrors(n)
+    where the config failed a check before the metric was read, and each
+    config's first error.  The mean rides the tail pass as a fourth phase,
+    each config's own theta."""
     thetas = _FRINGE_THETAS
     if "mean" in wanted:
-        thetas = np.concatenate([np.broadcast_to(thetas, (len(FRINGE_PHASES), n)),
-                                 cfgs.theta[None]])
-    mean, var = gaussian.signal_moments(cfgs, thetas)
+        fringe = np.broadcast_to(thetas, (len(FRINGE_PHASES), len(cfgs.theta)))
+        thetas = np.concatenate([fringe, cfgs.theta[None]])
+    block = Block(cfgs, thetas)
     columns: dict[str, list[float | None]] = {}
     if "mean" in wanted:
         own = len(FRINGE_PHASES)  # the row of each config's own theta
-        _check_finite(rows, mean[own:own + 1], var[own:own + 1])
-        columns["mean"] = rows.where_ok(mean[own])
+        block.require_finite(own)
+        columns["mean"] = block.where_ok(block.mean[own])
     if set(wanted) - {"mean"}:
-        r = _response(cfgs, mean, var, rows)
+        r = _response(block)
         if "visibility" in wanted:
-            columns["visibility"] = rows.where_ok(_visibility(r, rows))
+            columns["visibility"] = block.where_ok(_visibility(r, block))
         if {"dtheta2", "db_vs_shotnoise"} & set(wanted):
-            _, dtheta2, _, db = _optimum(r, rows, convention)
-            columns["dtheta2"], columns["db_vs_shotnoise"] = map(rows.where_ok, (dtheta2, db))
-    return {m: columns[m] for m in wanted}, rows.errors
+            _, dtheta2, _, db = _optimum(r, block, convention)
+            columns["dtheta2"], columns["db_vs_shotnoise"] = map(block.where_ok, (dtheta2, db))
+    return {m: columns[m] for m in wanted}, block.errors
 
 
 @np.errstate(all="ignore")
-def _one(cfg: InterferometerConfig, read: Callable[[PhaseResponse, RowErrors], Any]):
-    """read(response, rows) of cfg as a block of one row whose tails are
-    checked; raises that row's first error, else returns what read did."""
-    cfgs = config.stack([cfg])
-    rows = RowErrors(1)
-    out = read(_response(cfgs, *gaussian.signal_moments(cfgs, _FRINGE_THETAS), rows), rows)
-    if rows.errors[0] is not None:
-        raise rows.errors[0]
+def _one(cfg: InterferometerConfig, read: Callable[[PhaseResponse, Block], Any]):
+    """read(response, block) of cfg as a block of one config whose tails are
+    checked; raises that config's first error, else returns what read did."""
+    block = Block(config.stack([cfg]), _FRINGE_THETAS)
+    out = read(_response(block), block)
+    if block.errors[0] is not None:
+        raise block.errors[0]
     return out
 
 
 def phase_response(cfg: InterferometerConfig) -> PhaseResponse:
     """Mean and variance coefficients from one propagation to the phase and
     the phase + OPA2 tail at theta = 0, pi/2, pi, as floats: the batch of one."""
-    r = _one(cfg, lambda r, rows: r)
+    r = _one(cfg, lambda r, block: r)
     return PhaseResponse(cfg, *(c[0] for c in (r.m0, r.m1, r.v0, r.v1, r.v2)),
                          *(tuple(c[0] for c in pair) for pair in (r.after_opa1, r.after_loss)))
 
@@ -293,15 +292,16 @@ def visibility_numeric(cfg: InterferometerConfig) -> float:
 
 def mean_derivative(cfg: InterferometerConfig, theta0: float) -> float:
     """d<N_s>/d theta at theta0: -m1 sin(theta0)."""
-    return float(_one(cfg, lambda r, rows: r.slope(theta0))[0])
+    return float(_one(cfg, lambda r, block: r.slope(theta0))[0])
 
 
 def sensitivity(cfg: InterferometerConfig, theta0: float) -> float:
     """Error-propagation phase variance Var(N_s) / |d<N_s>/d theta|^2 at theta0."""
 
-    def read(r: PhaseResponse, rows: RowErrors) -> np.ndarray:
-        _check_resolved(r, rows)
-        rows.check(np.abs(np.sin([theta0])) <= STATIONARY_SIN, lambda i: StationaryPointError(
+    def read(r: PhaseResponse, block: Block) -> np.ndarray:
+        _require_resolved(r, block)
+        on_extremum = np.abs(np.sin([theta0])) <= STATIONARY_SIN
+        block.require(~on_extremum, lambda i: StationaryPointError(
             f"theta0={theta0} sits on an interference extremum (zero slope)"))
         return r.dtheta2(theta0)
 
@@ -314,7 +314,7 @@ def shot_noise_level(
 ) -> float:
     """Classical benchmark phase variance, counted per the chosen convention,
     from the signal mean of the device's phase response."""
-    return float(_one(cfg, lambda r, rows: _shot_noise(r, rows, convention))[0])
+    return float(_one(cfg, lambda r, block: _shot_noise(r, block, convention))[0])
 
 
 def optimal_sensitivity(
@@ -323,5 +323,5 @@ def optimal_sensitivity(
 ) -> SensitivityReport:
     """Minimize the phase variance over the working point theta0 in (0, pi)
     and compare it with the shot-noise level."""
-    columns = _one(cfg, lambda r, rows: _optimum(r, rows, convention))
+    columns = _one(cfg, lambda r, block: _optimum(r, block, convention))
     return SensitivityReport(*(float(c[0]) for c in columns), snl_convention=convention)
