@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import os
 import sys
 from pathlib import Path
 
@@ -112,8 +113,11 @@ def _run(argv: list[str]) -> str:
 
 
 def generate(outdir: Path) -> None:
-    """Write every golden file into outdir (which must exist)."""
-    with contextlib.chdir(outdir):
+    """Write every golden file into outdir (which must exist).  The commands
+    run inside it, so the paths they print are relative."""
+    cwd = os.getcwd()
+    os.chdir(outdir)
+    try:
         for name, args in SWEEPS.items():
             argv = ["sweep", *FOUR, *args, "--out", f"{name}.csv", "--json", f"{name}.json"]
             Path(f"{name}.txt").write_text(_run(argv))
@@ -121,6 +125,8 @@ def generate(outdir: Path) -> None:
             Path(f"{name}.txt").write_text(_run(["figure", *args, "--outdir", "."]))
         for name, argv in COMMANDS.items():
             Path(f"{name}.txt").write_text(_run(argv))
+    finally:
+        os.chdir(cwd)
 
 
 def test_outputs_match_golden_bytes(tmp_path):
