@@ -72,6 +72,10 @@ SWEEPS = {
                                "--ts2", "1e-30"],
     "huge_seed": ["--axis", "n_i", "--lo", "1e150", "--hi", "1e300", "--steps", "6",
                   "--g1", "0.1", "--g2", "0.1"],
+    # the benchmark's device over three sweep blocks, so rows cross block edges
+    "block_edges": ["--metrics", "mean,visibility", "--axis", "t_s2", "--lo", "0.01",
+                    "--hi", "1", "--steps", "300", "--g1", "0.45", "--g2", "0.2",
+                    "--n_i", "10000", "--base_ts2", "0.52", "--base_ti2", "0.42"],
 }
 
 # figures write <figure>.csv, .gp and .json into the working directory
@@ -129,13 +133,35 @@ def generate(outdir: Path) -> None:
         os.chdir(cwd)
 
 
+def first_difference(expected: bytes, actual: bytes) -> str:
+    """Where two texts first differ: the 1-based line number with the
+    expected and the actual line, or which text ends first."""
+    old, new = (text.decode(errors="replace").splitlines(keepends=True)
+                for text in (expected, actual))
+    for number, (a, b) in enumerate(zip(old, new), 1):
+        if a != b:
+            return f"line {number}: expected {a!r}, got {b!r}"
+    shorter = "actual" if len(new) < len(old) else "expected"
+    return f"the {shorter} text ends after line {min(len(old), len(new))}"
+
+
 def test_outputs_match_golden_bytes(tmp_path):
     generate(tmp_path)
     written = sorted(p.name for p in tmp_path.iterdir())
     assert written == sorted(p.name for p in GOLDEN.iterdir())
-    changed = [name for name in written
-               if (tmp_path / name).read_bytes() != (GOLDEN / name).read_bytes()]
-    assert not changed, f"outputs differ from tests/data/golden: {changed}"
+    changed = {name: first_difference((GOLDEN / name).read_bytes(),
+                                      (tmp_path / name).read_bytes())
+               for name in written
+               if (tmp_path / name).read_bytes() != (GOLDEN / name).read_bytes()}
+    assert not changed, "outputs differ from tests/data/golden:\n" + "\n".join(
+        f"{name}: {where}" for name, where in changed.items())
+
+
+def test_first_difference_names_the_line():
+    assert first_difference(b"a\nb\nc\n", b"a\nB\nc\n") == "line 2: expected 'b\\n', got 'B\\n'"
+    assert first_difference(b"a\nb", b"a\nb\n") == "line 2: expected 'b', got 'b\\n'"
+    assert first_difference(b"a\nb\n", b"a\n") == "the actual text ends after line 1"
+    assert first_difference(b"a\n", b"a\nb\n") == "the expected text ends after line 1"
 
 
 if __name__ == "__main__":
