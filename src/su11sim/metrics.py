@@ -15,11 +15,12 @@ that fails a check raises nothing: its Block keeps the first check each row
 fails, and the row keeps the values computed before it.  The checks run in
 this order: overflow of the mean at the row's own theta; overflow of the tail
 at 0, pi/2, pi; zero flux; g2 <= 0; an unresolved fringe; overflow before the
-phase; N_s <= 0; a phase variance at the optimum that is not positive and
-finite (a variance lost to rounding).  metric_columns is a sweep block's
-path.  The single-config functions (phase_response, visibility_numeric,
-sensitivity, mean_derivative, shot_noise_level, optimal_sensitivity) are its
-batch of one and raise that row's error.
+phase; N_s <= 0; a phase variance at the optimum (or at sensitivity's fixed
+theta0) that is not positive and finite (a variance lost to rounding).
+metric_columns is a sweep block's path.  The single-config functions
+(phase_response, visibility_numeric, sensitivity, mean_derivative,
+shot_noise_level, optimal_sensitivity) are its batch of one and raise that
+row's error.
 """
 
 from __future__ import annotations
@@ -303,7 +304,12 @@ def sensitivity(cfg: InterferometerConfig, theta0: float) -> float:
         on_extremum = np.abs(np.sin([theta0])) <= STATIONARY_SIN
         block.require(~on_extremum, lambda i: StationaryPointError(
             f"theta0={theta0} sits on an interference extremum (zero slope)"))
-        return r.dtheta2(theta0)
+        dtheta2 = r.dtheta2(theta0)
+        # a variance lost to rounding (tiny photon numbers) gives no sensitivity
+        block.require(np.isfinite(dtheta2) & (dtheta2 > 0.0), lambda i: DomainError(
+            f"sensitivity not resolved: the phase variance at theta0={theta0} "
+            f"is {dtheta2[i]:.3g}"))
+        return dtheta2
 
     return float(_one(cfg, read)[0])
 

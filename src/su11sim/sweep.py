@@ -7,7 +7,12 @@ array operations (config_at is its batch of one), metrics.metric_columns
 propagates it once and returns one column per metric with each row's first
 error, and the block's rows are built from those columns.  SweepSpec rejects
 every range whose grid could hold an invalid configuration, so a block needs
-no per-row config check."""
+no per-row config check.
+
+CSV and JSON are written column by column: each output column becomes text in
+one conversion and the rows are filled into a fixed template of the sweep's
+columns, so the JSON is byte-identical to json.dumps(indent=2, sort_keys=True)
+without that call's pure-Python encoder."""
 
 from __future__ import annotations
 
@@ -295,36 +300,48 @@ def _csv_quote(s: str) -> str:
     return s
 
 
+def _columns(spec: SweepSpec, rows: list[SweepRow]) -> dict[str, list]:
+    """The rows as one column per output field: the axis value, each metric
+    (None where a row has no value for it) and the error."""
+    values = [row.values for row in rows]
+    return {
+        spec.axis: [row.axis_value for row in rows],
+        **{m: [v.get(m) for v in values] for m in spec.metrics},
+        "error": [row.error for row in rows],
+    }
+
+
+def _json_tokens(column: list) -> list[str]:
+    """The JSON text of each value of a column, from one json.dumps call.  An
+    encoded value never holds a raw newline, so the newline separates them."""
+    return json.dumps(column, separators=("\n", ": "))[1:-1].split("\n") if column else []
+
+
 def sweep_to_csv(spec: SweepSpec, rows: list[SweepRow]) -> str:
     """Render a sweep as CSV with a '#'-prefixed header block for provenance."""
     header = [f"# su11sim {__version__}"]
     for line in spec_to_config_text(spec).splitlines():
         header.append(f"# {line}")
-    cols = [spec.axis, *spec.metrics, "error"]
-    out = header + [",".join(cols)]
-    for row in rows:
-        cells = [_fmt(row.axis_value)]
-        cells += [_fmt(row.values.get(m)) for m in spec.metrics]
-        cells.append(_csv_quote(row.error or ""))
-        out.append(",".join(cells))
-    return "\n".join(out) + "\n"
+    names = [spec.axis, *spec.metrics, "error"]
+    columns = _columns(spec, rows)
+    cells = [list(map(_fmt, columns[name])) for name in names[:-1]]
+    cells.append([_csv_quote(e) if e else "" for e in columns["error"]])
+    return "\n".join([*header, ",".join(names), *map(",".join, zip(*cells))]) + "\n"
 
 
 def sweep_to_json(spec: SweepSpec, rows: list[SweepRow]) -> str:
-    """JSON mirror of the CSV output, identical field names."""
-    payload = {
-        "version": __version__,
-        "spec": {key.name: key.get(spec) for key in CONFIG_KEYS},
-        "rows": [
-            {
-                spec.axis: row.axis_value,
-                **{m: row.values.get(m) for m in spec.metrics},
-                "error": row.error,
-            }
-            for row in rows
-        ],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """JSON mirror of the CSV output, identical field names: the text of
+    json.dumps(payload, indent=2, sort_keys=True), each row filled into the
+    template of its sorted keys."""
+    columns = _columns(spec, rows)
+    keys = sorted(columns)
+    template = "    {\n" + ",\n".join(f"      {json.dumps(key)}: %s" for key in keys) + "\n    }"
+    items = ",\n".join(map(template.__mod__, zip(*(_json_tokens(columns[k]) for k in keys))))
+    rest = json.dumps({"spec": {key.name: key.get(spec) for key in CONFIG_KEYS},
+                       "version": __version__}, indent=2, sort_keys=True)
+    # "rows" sorts before "spec" and "version", so it opens the object
+    return ('{\n  "rows": ' + (f"[\n{items}\n  ]" if rows else "[]") + ",\n"
+            + rest[len("{\n"):] + "\n")
 
 
 # --- figure presets -----------------------------------------------------------

@@ -59,6 +59,13 @@ class TestSensitivity:
         val = m.sensitivity(cfg(n_i=50.0), math.pi - 1e-3)
         assert val == pytest.approx(cf.ideal_sensitivity(0.1, 50.0), rel=1e-4)
 
+    def test_variance_lost_to_rounding_is_domain_error(self):
+        # the variance rounds to 0 at every phase (as for the optimum), so a
+        # fixed working point has no phase variance either
+        c = cfg(g1=1e-100, g2=1e-100, ts2=0.5, ti2=0.5, n_i=1e100)
+        with pytest.raises(DomainError, match="sensitivity not resolved"):
+            m.sensitivity(c, 1.0)
+
     def test_derivative_cross_check(self):
         rng = np.random.default_rng(9)
         for _ in range(25):

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from su11sim import InterferometerConfig, cli, gaussian, metrics, sweep
+from su11sim import InterferometerConfig, __version__, cli, gaussian, metrics, sweep
 from su11sim.errors import DomainError, Su11Error
 from su11sim.metrics import ShotNoiseConvention
 
@@ -257,6 +257,95 @@ class TestSerialization:
         assert len(payload["rows"]) == 3
         assert payload["rows"][0]["mean"] == rows[0].values["mean"]
         assert payload["rows"][0]["error"] is None
+
+
+def reference_csv(spec, rows):
+    """The CSV as the per-row writer formed it: each cell by repr(float(v)),
+    empty for None, and the error quoted where it holds a separator."""
+
+    def fmt(v):
+        return "" if v is None else repr(float(v))
+
+    def quote(text):
+        if any(ch in text for ch in ',"\n\r'):
+            return '"' + text.replace('"', '""') + '"'
+        return text
+
+    out = [f"# su11sim {__version__}"]
+    out += [f"# {line}" for line in sweep.spec_to_config_text(spec).splitlines()]
+    out.append(",".join([spec.axis, *spec.metrics, "error"]))
+    for row in rows:
+        cells = [fmt(row.axis_value), *(fmt(row.values.get(m)) for m in spec.metrics)]
+        out.append(",".join([*cells, quote(row.error or "")]))
+    return "\n".join(out) + "\n"
+
+
+def reference_json(spec, rows):
+    """The JSON as the per-row writer formed it, one dict per row."""
+    payload = {
+        "version": __version__,
+        "spec": {key.name: key.get(spec) for key in sweep.CONFIG_KEYS},
+        "rows": [
+            {spec.axis: row.axis_value,
+             **{m: row.values.get(m) for m in spec.metrics},
+             "error": row.error}
+            for row in rows
+        ],
+    }
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+HAND_MADE_ROWS = [
+    sweep.SweepRow(0.0, {"mean": math.nan, "visibility": math.inf}),
+    sweep.SweepRow(0.125, {"mean": -math.inf, "visibility": 1}),
+    sweep.SweepRow(2, {"mean": 10**20, "visibility": -3}),
+    sweep.SweepRow(np.float64(0.25), {"mean": np.float64(1.5e-300),
+                                      "visibility": np.float64(-0.0)}),
+    sweep.SweepRow(0.5, {"mean": 2.0}, 'comma, "quote"'),
+    sweep.SweepRow(0.625, {"mean": None, "visibility": None}, "line\nbreak\r"),
+    sweep.SweepRow(0.75, {"mean": 5e-324, "visibility": 1.7976931348623157e308},
+                   "non-ASCII: θ ≠ π, ü"),
+    sweep.SweepRow(0.875, {"visibility": 0.1}, ""),
+    sweep.SweepRow(-1e-320, {}, "{braces} and \\ and \t"),
+]
+
+
+class TestWritersMatchPerRowReference:
+    """sweep_to_csv and sweep_to_json build their text column by column; each
+    must give the bytes of the per-row reference above."""
+
+    @pytest.mark.parametrize("rows", [HAND_MADE_ROWS, HAND_MADE_ROWS[4:5], []],
+                             ids=["hand_made", "one_row", "no_rows"])
+    @pytest.mark.parametrize("metrics", [("mean", "visibility"), ("visibility",),
+                                         ("visibility", "mean", "visibility")])
+    def test_hand_made_rows(self, rows, metrics):
+        spec = make_spec(metrics=metrics)
+        assert sweep.sweep_to_csv(spec, rows) == reference_csv(spec, rows)
+        assert sweep.sweep_to_json(spec, rows) == reference_json(spec, rows)
+
+    def test_text_is_a_str(self):
+        spec = make_spec()
+        assert type(sweep.sweep_to_csv(spec, HAND_MADE_ROWS)) is str
+        assert type(sweep.sweep_to_json(spec, HAND_MADE_ROWS)) is str
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_sweeps(self, seed):
+        rng = np.random.default_rng(seed)
+        axis = sweep.AXES[seed % len(sweep.AXES)]
+        lo, hi = {"theta": (-7.0, 7.0), "n_i": (0.0, 1e4), "G1": (0.0, 300.0),
+                  "G2": (0.0, 300.0)}.get(axis, (0.0, 1.0))
+        chosen = [m for m in sweep.METRICS if rng.random() < 0.6] or ["dtheta2"]
+        spec = sweep.SweepSpec(
+            axis=axis, lo=lo, hi=hi, steps=int(rng.integers(2, 300)),
+            fixed=InterferometerConfig(g1=float(rng.uniform(0, 1)), g2=float(rng.uniform(0, 1)),
+                                       n_i=float(rng.choice([0.0, 3.0, 1e4]))),
+            metrics=tuple(str(m) for m in rng.permutation(chosen)),
+            base_ts2=float(rng.uniform(0.1, 1)) if rng.random() < 0.5 else None,
+            snl_convention=list(ShotNoiseConvention)[seed % 3],
+        )
+        rows = sweep.run_sweep(spec)
+        assert sweep.sweep_to_csv(spec, rows) == reference_csv(spec, rows)
+        assert sweep.sweep_to_json(spec, rows) == reference_json(spec, rows)
 
 
 class TestFigures:
