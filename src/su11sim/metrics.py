@@ -201,6 +201,13 @@ def _require_resolved(r: PhaseResponse, block: Block) -> None:
         f"is below {INTERFERENCE_RTOL:g} of the mean photon number {r.m0[i]:.3g}"))
 
 
+def _require_sensitivity(block: Block, dtheta2: np.ndarray, where: str) -> None:
+    """Fail the configs whose phase variance at the working point `where` is
+    not positive and finite: a variance lost to rounding (tiny photon numbers)."""
+    block.require(np.isfinite(dtheta2) & (dtheta2 > 0.0), lambda i: DomainError(
+        f"sensitivity not resolved: the phase variance at {where} is {dtheta2[i]:.3g}"))
+
+
 def _shot_noise(r: PhaseResponse, block: Block, convention: ShotNoiseConvention):
     """Classical benchmark phase variance, counted per the chosen convention
     from the signal mean before the phase; fails the configs where that mean
@@ -227,10 +234,7 @@ def _optimum(r: PhaseResponse, block: Block, convention: ShotNoiseConvention):
     theta = r.optimal_theta()
     dtheta2 = r.dtheta2(theta)
     snl = _shot_noise(r, block, convention)
-    # a variance lost to rounding (tiny photon numbers) leaves no optimum
-    block.require(np.isfinite(dtheta2) & (dtheta2 > 0.0), lambda i: DomainError(
-        f"sensitivity not resolved: the phase variance at the optimal working point "
-        f"is {dtheta2[i]:.3g}"))
+    _require_sensitivity(block, dtheta2, "the optimal working point")
     # the failed configs' logarithm is not taken: math.log10 raises on a ratio <= 0
     ratio = (snl / dtheta2).tolist()
     db = np.array([0.0 if e is not None else 10.0 * math.log10(q)
@@ -305,10 +309,7 @@ def sensitivity(cfg: InterferometerConfig, theta0: float) -> float:
         block.require(~on_extremum, lambda i: StationaryPointError(
             f"theta0={theta0} sits on an interference extremum (zero slope)"))
         dtheta2 = r.dtheta2(theta0)
-        # a variance lost to rounding (tiny photon numbers) gives no sensitivity
-        block.require(np.isfinite(dtheta2) & (dtheta2 > 0.0), lambda i: DomainError(
-            f"sensitivity not resolved: the phase variance at theta0={theta0} "
-            f"is {dtheta2[i]:.3g}"))
+        _require_sensitivity(block, dtheta2, f"theta0={theta0}")
         return dtheta2
 
     return float(_one(cfg, read)[0])

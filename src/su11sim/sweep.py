@@ -312,8 +312,9 @@ def _columns(spec: SweepSpec, rows: list[SweepRow]) -> dict[str, list]:
 
 
 def _json_tokens(column: list) -> list[str]:
-    """The JSON text of each value of a column, from one json.dumps call.  An
-    encoded value never holds a raw newline, so the newline separates them."""
+    """The JSON text of each value of a column, as json.dumps writes it at any
+    indent (float repr, null, NaN, Infinity), from one call.  An encoded value
+    never holds a raw newline, so the newline separates them."""
     return json.dumps(column, separators=("\n", ": "))[1:-1].split("\n") if column else []
 
 
@@ -326,13 +327,13 @@ def sweep_to_csv(spec: SweepSpec, rows: list[SweepRow]) -> str:
     columns = _columns(spec, rows)
     cells = [list(map(_fmt, columns[name])) for name in names[:-1]]
     cells.append([_csv_quote(e) if e else "" for e in columns["error"]])
-    return "\n".join([*header, ",".join(names), *map(",".join, zip(*cells))]) + "\n"
+    return "\n".join([*header, ",".join(names), *map(",".join, zip(*cells)), ""])
 
 
 def sweep_to_json(spec: SweepSpec, rows: list[SweepRow]) -> str:
-    """JSON mirror of the CSV output, identical field names: the text of
-    json.dumps(payload, indent=2, sort_keys=True), each row filled into the
-    template of its sorted keys."""
+    """JSON mirror of the CSV output, identical field names.  The text is that
+    of json.dumps({"version", "spec", "rows"}, indent=2, sort_keys=True), with
+    each row filled into the template of its sorted keys."""
     columns = _columns(spec, rows)
     keys = sorted(columns)
     template = "    {\n" + ",\n".join(f"      {json.dumps(key)}: %s" for key in keys) + "\n    }"
@@ -340,8 +341,8 @@ def sweep_to_json(spec: SweepSpec, rows: list[SweepRow]) -> str:
     rest = json.dumps({"spec": {key.name: key.get(spec) for key in CONFIG_KEYS},
                        "version": __version__}, indent=2, sort_keys=True)
     # "rows" sorts before "spec" and "version", so it opens the object
-    return ('{\n  "rows": ' + (f"[\n{items}\n  ]" if rows else "[]") + ",\n"
-            + rest[len("{\n"):] + "\n")
+    rows_value = ["[\n", items, "\n  ]"] if rows else ["[]"]
+    return "".join(['{\n  "rows": ', *rows_value, ",\n", rest[len("{\n"):], "\n"])
 
 
 # --- figure presets -----------------------------------------------------------

@@ -323,11 +323,6 @@ class TestWritersMatchPerRowReference:
         assert sweep.sweep_to_csv(spec, rows) == reference_csv(spec, rows)
         assert sweep.sweep_to_json(spec, rows) == reference_json(spec, rows)
 
-    def test_text_is_a_str(self):
-        spec = make_spec()
-        assert type(sweep.sweep_to_csv(spec, HAND_MADE_ROWS)) is str
-        assert type(sweep.sweep_to_json(spec, HAND_MADE_ROWS)) is str
-
     @pytest.mark.parametrize("seed", range(8))
     def test_random_sweeps(self, seed):
         rng = np.random.default_rng(seed)
