@@ -19,6 +19,18 @@ can never reach a reported statistic.  The sector density holds D^3
 amplitudes, and loss, phase and squeeze are each one batched matrix product
 over delta or over the sectors.
 
+The pipeline runs in real float64 arithmetic.  Every factor before the phase
+is real (the seed at alpha = sqrt(n_i), the squeeze blocks, the loss weights),
+so the sector density Z there is real, and the phase turns it into
+exp(-i theta delta) Z.  What enters OPA 2 instead is its real part,
+cos(theta delta) Z: the sector density of the mixture (rho_theta +
+rho_-theta) / 2.  This is exact, not an approximation: every OPA-2 block is
+real, so rho_theta and rho_-theta give the same signal photon-number
+distribution.  The public `phase_shift` still returns the true, complex state,
+and a pure state (a lossless device) crosses the phase as its complex (D, D)
+amplitudes, which cost little.  Every state keeps its input's dtype, so a
+complex seed alpha gives complex amplitudes.
+
 The oracle regime is small gains and seeds; the cutoff auto-doubles when the
 tail of the photon-number distribution becomes populated or probability is
 lost past it.
@@ -64,7 +76,7 @@ class FockTwoModeState:
 
 
 def vacuum(cutoff: int = DEFAULT_CUTOFF) -> FockTwoModeState:
-    amp = np.zeros((cutoff, cutoff), dtype=complex)
+    amp = np.zeros((cutoff, cutoff))
     amp[0, 0] = 1.0
     return FockTwoModeState(tensor=amp)
 
@@ -80,7 +92,8 @@ class _Sectors(NamedTuple):
     pure: tuple  # (amplitude, sector-vector) flat index pairs, one per state
     mixed: tuple  # (sector-density, sector-block) flat index pairs
     w: np.ndarray  # (d, d): eigenvalues of the unit-gain block T, by |s|
-    pv: np.ndarray  # (d, d, d): P V, the matching eigenvectors times diag(i^a)
+    even: np.ndarray  # (d, (d+1)//2, d): rows a = 0, 2, ... of R V, by |s|
+    odd: np.ndarray  # (d, d//2, d): rows a = 1, 3, ... of R V
 
 
 @lru_cache(maxsize=4)
@@ -94,6 +107,10 @@ def _sectors(d: int) -> _Sectors:
     gen = P (-i T) P^-1 for the real symmetric tridiagonal T that has sub on
     both off-diagonals, so from T = V diag(w) V^T:
         exp(g gen) = Re[P V diag(e^{-igw}) V^T P^-1].
+    T only links a to a +- 1, so C = V cos(gw) V^T vanishes unless a - b is
+    even and S = V sin(gw) V^T unless it is odd.  With P = R diag(i^(a%2)),
+    R = diag((-1)^(a//2)), the real part is R C R on even a - b, R S R for odd
+    a and even b, and -R S R for even a and odd b: real products of R V.
     """
     s = np.arange(-(d - 1), d)[:, None]
     a = np.arange(d)
@@ -111,16 +128,22 @@ def _sectors(d: int) -> _Sectors:
     t[:, a[1:], a[:-1]] = sub
     t[:, a[:-1], a[1:]] = sub
     w, v = np.linalg.eigh(t)
-    pv = v * np.array([1, 1j, -1, -1j])[a % 4, None]
-    return _Sectors(flat, pure, mixed, w, pv)
+    rv = v * (-1.0) ** (a // 2)[:, None]
+    return _Sectors(flat, pure, mixed, w, rv[:, ::2].copy(), rv[:, 1::2].copy())
 
 
 def _sector_unitaries(g: float, d: int) -> np.ndarray:
     """(d, d, d) real: the squeeze exp(g gen) on each sector, by |s|; the
     zero padding of a sector maps to itself."""
     sec = _sectors(d)
-    u = (sec.pv * np.exp(-1j * g * sec.w)[:, None, :]) @ sec.pv.conj().transpose(0, 2, 1)
-    return u.real
+    cos, sin = np.cos(g * sec.w)[:, None, :], np.sin(g * sec.w)[:, None, :]
+    even_t, odd_t = sec.even.transpose(0, 2, 1), sec.odd.transpose(0, 2, 1)
+    u = np.empty((d, d, d))
+    u[:, ::2, ::2] = (sec.even * cos) @ even_t
+    u[:, 1::2, 1::2] = (sec.odd * cos) @ odd_t
+    u[:, 1::2, ::2] = (sec.odd * sin) @ even_t
+    u[:, ::2, 1::2] = -u[:, 1::2, ::2].transpose(0, 2, 1)
+    return u
 
 
 def _squeeze_blocks(g: float, d: int):
@@ -134,7 +157,7 @@ def _squeeze_blocks(g: float, d: int):
 
 def _regroup(src: np.ndarray, take: np.ndarray, put: np.ndarray, shape) -> np.ndarray:
     """A zero array of `shape` whose flat entries `put` are src's flat `take`."""
-    out = np.zeros(shape, dtype=complex)
+    out = np.zeros(shape, dtype=src.dtype)
     out.reshape(-1)[put] = src.reshape(-1)[take]
     return out
 
@@ -181,11 +204,11 @@ def tail_population(state: FockTwoModeState) -> float:
 def _pad(state: FockTwoModeState, new_cutoff: int) -> FockTwoModeState:
     d = state.cutoff
     if state.is_pure:
-        amp = np.zeros((new_cutoff, new_cutoff), dtype=complex)
+        amp = np.zeros((new_cutoff, new_cutoff), dtype=state.tensor.dtype)
         amp[:d, :d] = state.tensor
     else:
         # delta = 0 moves from row d - 1 to row new_cutoff - 1
-        amp = np.zeros((2 * new_cutoff - 1, new_cutoff, new_cutoff), dtype=complex)
+        amp = np.zeros((2 * new_cutoff - 1, new_cutoff, new_cutoff), state.tensor.dtype)
         amp[new_cutoff - d : new_cutoff + d - 1, :d, :d] = state.tensor
     return FockTwoModeState(tensor=amp)
 
@@ -225,9 +248,9 @@ def squeeze(state: FockTwoModeState, g: float) -> FockTwoModeState:
 def displace(state: FockTwoModeState, alpha: complex, mode: str) -> FockTwoModeState:
     """Coherent displacement D(alpha) on one mode of the vacuum.
 
-    The amplitudes e^{-|alpha|^2/2} alpha^n / sqrt(n!) are exact, built as one
-    running product and cut at the cutoff, so the norm they miss is the
-    population that lies past it.
+    The amplitudes e^{-|alpha|^2/2} alpha^n / sqrt(n!) are exact, real for a
+    real alpha, built as one running product and cut at the cutoff, so the
+    norm they miss is the population that lies past it.
     """
     if not np.array_equal(state.tensor, vacuum(state.cutoff).tensor):
         raise DomainError("displace seeds the pure vacuum only; the pipeline seeds first")
@@ -237,7 +260,7 @@ def displace(state: FockTwoModeState, alpha: complex, mode: str) -> FockTwoModeS
     def seed(st: FockTwoModeState) -> FockTwoModeState:
         d = st.cutoff
         ratios = np.r_[math.exp(-0.5 * abs(alpha) ** 2), alpha / np.sqrt(np.arange(1.0, d))]
-        amp = np.zeros((d, d), dtype=complex)
+        amp = np.zeros((d, d), dtype=ratios.dtype)
         np.moveaxis(amp, _AXIS[mode], 0)[:, 0] = np.cumprod(ratios)
         return FockTwoModeState(tensor=amp)
 
@@ -338,6 +361,11 @@ def pipeline(
     state = squeeze(state, cfg.g1)
     state = loss(state, cfg.t_s, SIGNAL)
     state = loss(state, cfg.t_i, IDLER)
-    state = phase_shift(state, cfg.theta, SIGNAL)
+    if state.is_pure:
+        state = phase_shift(state, cfg.theta, SIGNAL)
+    else:  # the real part of the phase: the +-theta mixture, see the module docstring
+        d = state.cutoff
+        cos = np.cos(cfg.theta * np.arange(-(d - 1), d))[:, None, None]
+        state = FockTwoModeState(tensor=state.tensor * cos)
     state = squeeze(state, cfg.g2)
     return photon_stats(state, SIGNAL)

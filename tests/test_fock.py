@@ -427,3 +427,89 @@ def test_loss_commutes_with_phase(mode):
     a = fock.loss(fock.phase_shift(st, 0.7, mode), 0.6, mode)
     b = fock.phase_shift(fock.loss(st, 0.6, mode), 0.7, mode)
     assert np.abs(a.tensor - b.tensor).max() < 1e-15
+
+
+def _complex_reference(cfg, cutoff):
+    """The pipeline through the true, complex phase: phase_shift, then OPA 2."""
+    state = fock.vacuum(cutoff)
+    state = fock.displace(state, math.sqrt(cfg.n_i), fock.IDLER)
+    state = fock.squeeze(state, cfg.g1)
+    state = fock.loss(state, cfg.t_s, fock.SIGNAL)
+    state = fock.loss(state, cfg.t_i, fock.IDLER)
+    state = fock.phase_shift(state, cfg.theta, fock.SIGNAL)
+    assert np.iscomplexobj(state.tensor)
+    return fock.photon_stats(fock.squeeze(state, cfg.g2), fock.SIGNAL)
+
+
+def _phase_mixture_configs():
+    from su11sim import sweep
+
+    cfgs = sweep.random_oracle_configs(180, 24) + sweep.random_oracle_configs(7, 24)
+    assert any(cfg.theta > math.pi for cfg in cfgs)
+    return cfgs + [
+        InterferometerConfig(g1=0.25, g2=0.2, theta=4.0, n_i=2.0),  # lossless: pure path
+        InterferometerConfig(g1=0.2, g2=0.3, theta=5.5, t_s=0.6, t_i=0.9, n_i=3.0),
+    ]
+
+
+@pytest.mark.parametrize("cfg", _phase_mixture_configs())
+def test_phase_mixture_matches_the_complex_phase(cfg):
+    # pipeline's OPA 2 sees cos(theta delta) Z, the real part of the phase
+    cutoff = fock.suggested_cutoff(cfg)
+    ref = _complex_reference(cfg, cutoff)
+    stats = fock.pipeline(cfg, cutoff=cutoff)
+    assert stats.mean == pytest.approx(ref.mean, rel=1e-13, abs=0.0)
+    assert stats.variance == pytest.approx(ref.variance, rel=1e-13, abs=0.0)
+
+
+def test_real_states_stay_float64():
+    seeded = fock.displace(fock.vacuum(16), 0.7, fock.IDLER)
+    squeezed = fock.squeeze(seeded, 0.2)
+    lossy = fock.loss(squeezed, 0.8, fock.SIGNAL)
+    assert not lossy.is_pure
+    for st in (fock.vacuum(16), seeded, squeezed, lossy, fock.loss(lossy, 0.9, fock.IDLER),
+               fock.squeeze(lossy, 0.1)):
+        assert st.tensor.dtype == np.float64
+    # a complex state stays complex through loss and squeeze
+    rotated = fock.phase_shift(lossy, 0.3)
+    assert np.iscomplexobj(fock.squeeze(fock.loss(rotated, 0.9, fock.IDLER), 0.1).tensor)
+
+
+def test_complex_seed_writes_the_exact_complex_amplitudes():
+    d, alpha = 32, 1 + 1j
+    st = fock.displace(fock.vacuum(d), alpha, fock.IDLER)
+    assert st.cutoff == d and st.tensor.dtype == np.complex128 and not st.tensor[1:].any()
+    exact = [
+        np.exp(-0.5 * abs(alpha) ** 2) * alpha**n / math.sqrt(math.factorial(n))
+        for n in range(d)
+    ]
+    assert np.abs(st.tensor[0] - exact).max() < 1e-15
+
+
+@pytest.mark.parametrize("engine", ["metrics", "closed_form", "sweep"])
+def test_oracle_is_independent_of_the_other_engines(engine):
+    # only config, errors and IDLER/SIGNAL/PhotonStats of gaussian, in any import form
+    import ast
+    from pathlib import Path
+
+    tree = ast.parse(Path(fock.__file__).read_text())
+    modules, from_gaussian = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                base = ".".join(filter(None, ["su11sim", base]))
+            # `from package import name` may import the module package.name
+            modules.update([base] + [f"{base}.{alias.name}" for alias in node.names])
+            if base == "su11sim.gaussian":
+                from_gaussian.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Name):
+            assert node.id not in ("__import__", "importlib")
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            assert f"su11sim.{engine}" not in node.value
+    assert f"su11sim.{engine}" not in modules
+    ours = {m for m in modules if m.startswith("su11sim.") and m.count(".") == 1}
+    assert ours == {"su11sim.config", "su11sim.errors", "su11sim.gaussian"}
+    assert from_gaussian == {"IDLER", "SIGNAL", "PhotonStats"}

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from su11sim import InterferometerConfig, __version__, cli, gaussian, metrics, sweep
+from su11sim import InterferometerConfig, __version__, cli, closed_form, gaussian, metrics, sweep
 from su11sim.errors import DomainError, Su11Error
 from su11sim.metrics import ShotNoiseConvention
 
@@ -391,6 +391,29 @@ class TestValidateHarness:
     def test_seeded_grid_is_reproducible(self):
         assert sweep.random_oracle_configs(3, 4) == sweep.random_oracle_configs(3, 4)
 
+    def test_batched_visibility_equals_the_batch_of_one(self):
+        cfgs = sweep.random_oracle_configs(11, 6)
+        rows = sweep._visibility_rows(cfgs)
+        assert rows == [(metrics.visibility_numeric(c), None) for c in cfgs]
+        assert [sweep._validate_point(c, row) for c, row in zip(cfgs, rows)] == [
+            sweep._validate_point(c) for c in cfgs
+        ]
+
+    @pytest.mark.parametrize("closed_form_defined", [False, True])
+    def test_undefined_visibility_row_is_flagged(self, monkeypatch, closed_form_defined):
+        dark = InterferometerConfig(g1=0.0, g2=0.0, n_i=1.0)  # zero flux
+        cfgs = [*sweep.random_oracle_configs(5, 2), dark, *sweep.random_oracle_configs(6, 1)]
+        monkeypatch.setattr(sweep, "random_oracle_configs", lambda seed, points: cfgs)
+        if closed_form_defined:
+            # the Gaussian row's own zero-flux error must flag the point too
+            visibility = closed_form.visibility
+            monkeypatch.setattr(closed_form, "visibility",
+                                lambda cfg: 0.5 if cfg is dark else visibility(cfg))
+        report = sweep.validate(seed=5, points=4)
+        assert report.passed, report.failures
+        assert report.flagged == ["undefined-visibility: g1=0.0000 g2=0.0000 (skipped)"]
+        assert report.worst_at["visibility_closed_form_vs_numeric"] is not dark
+
 
 class TestCli:
     def test_usage_error_exit_code(self, capsys):
@@ -433,6 +456,25 @@ class TestCli:
             if ln and not ln.startswith("#")
         ]
         assert len(data) == 1 + 4  # header + overridden step count
+
+    def test_sweep_repeated_metric_flag_is_usage_error(self, capsys):
+        rc = cli.main(["sweep", "--axis", "theta", "--g1", "0.1", "--g2", "0.1",
+                       "--metrics", "mean,visibility,mean"])
+        assert rc == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("su11: error: repeated metrics ['mean']; "
+                                "request each metric once\n")
+
+    def test_sweep_repeated_metric_in_config_file_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("g1 = 0.1\ng2 = 0.1\naxis = theta\n"
+                       "metrics = dtheta2, visibility, dtheta2, visibility\n")
+        assert cli.main(["sweep", "--config", str(cfg)]) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("su11: error: repeated metrics ['dtheta2', 'visibility']; "
+                                "request each metric once\n")
 
     def test_sweep_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
