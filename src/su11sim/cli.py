@@ -14,7 +14,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from . import __version__, closed_form, metrics, sweep
-from .errors import Su11Error
+from .errors import DomainError, Su11Error
 from .metrics import ShotNoiseConvention
 
 EXIT_OK = 0
@@ -84,10 +84,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_config(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
+
+
 def _cmd_sweep(args) -> int:
     entries = {}
     if args.config is not None:
-        entries = sweep.parse_config_text(args.config.read_text())
+        entries = sweep.parse_config_text(_read_config(args.config))
     spec = sweep.spec_from_config(entries, _flag_values(args))
     rows = sweep.run_sweep(spec)
     csv_text = sweep.sweep_to_csv(spec, rows)
@@ -122,13 +129,7 @@ def _device(args):
 def _cmd_sensitivity(args) -> int:
     cfg, conv = _device(args)
     report = metrics.optimal_sensitivity(cfg, conv)
-    print(json.dumps({
-        "theta_opt": report.theta_opt,
-        "dtheta2": report.dtheta2,
-        "dtheta2_shotnoise": report.dtheta2_shotnoise,
-        "db_vs_shotnoise": report.db_vs_shotnoise,
-        "snl_convention": report.snl_convention.value,
-    }, indent=2))
+    print(json.dumps(vars(report), indent=2))
     return EXIT_OK
 
 
@@ -174,8 +175,11 @@ def main(argv=None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except Su11Error as exc:
-        print(f"su11: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        message = str(exc)
+    except OSError as exc:  # a file that cannot be read or written
+        message = str(exc) if exc.filename is None else f"{exc.filename}: {exc.strerror}"
+    print(f"su11: error: {message}", file=sys.stderr)
+    return EXIT_USAGE
 
 
 if __name__ == "__main__":

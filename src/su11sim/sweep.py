@@ -68,6 +68,9 @@ class SweepSpec:
             raise DomainError(f"unknown metrics {unknown}; expected subset of {METRICS}")
         if not self.metrics:
             raise DomainError("at least one metric must be requested")
+        repeated = sorted({m for m in self.metrics if self.metrics.count(m) > 1})
+        if repeated:
+            raise DomainError(f"repeated metrics {repeated}; request each metric once")
         if not 2 <= self.steps <= MAX_STEPS:
             raise DomainError(f"steps must lie in [2, {MAX_STEPS}], got {self.steps}")
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
@@ -170,6 +173,21 @@ def name_list(text: str) -> tuple[str, ...]:
     return tuple(m.strip() for m in text.split(",") if m.strip())
 
 
+def _given_square(t: float) -> float:
+    """The power transmission p as given for the amplitude t = math.sqrt(p):
+    the shortest float p with math.sqrt(p) == t, among the decimal roundings
+    of t * t and its float neighbours.  t * t alone may differ
+    (math.sqrt(0.5) ** 2 is 0.5000000000000001); it is kept only where it
+    underflowed and no float maps back to t."""
+    square = t * t
+    near = (math.nextafter(square, 0.0), square, math.nextafter(square, math.inf))
+    for digits in range(1, 18):
+        for p in (float(f"{x:.{digits}g}") for x in near):
+            if math.sqrt(p) == t:
+                return p
+    return square
+
+
 @dataclass(frozen=True)
 class ConfigKey:
     """One config-file key: how its text parses, its default, the value a
@@ -187,8 +205,8 @@ CONFIG_KEYS = (
     ConfigKey("g1", float, 0.0, lambda s: s.fixed.g1),
     ConfigKey("g2", float, 0.0, lambda s: s.fixed.g2),
     ConfigKey("theta", float, 0.0, lambda s: s.fixed.theta),
-    ConfigKey("ts2", float, 1.0, lambda s: s.fixed.t_s**2),
-    ConfigKey("ti2", float, 1.0, lambda s: s.fixed.t_i**2),
+    ConfigKey("ts2", float, 1.0, lambda s: _given_square(s.fixed.t_s)),
+    ConfigKey("ti2", float, 1.0, lambda s: _given_square(s.fixed.t_i)),
     ConfigKey("n_i", float, 0.0, lambda s: s.fixed.n_i),
     ConfigKey("snl_convention", str, ShotNoiseConvention.AFTER_OPA1.value,
               lambda s: s.snl_convention.value, tuple(c.value for c in ShotNoiseConvention)),
@@ -279,9 +297,6 @@ def spec_from_config(entries: dict[str, str], overrides: dict | None = None) -> 
     v = config_values(entries, overrides)
     if v["axis"] is None:
         raise DomainError("config must define an axis")
-    repeated = sorted({m for m in v["metrics"] if v["metrics"].count(m) > 1})
-    if repeated:
-        raise DomainError(f"repeated metrics {repeated}; request each metric once")
     fixed, convention = device_from_values(v)
     return SweepSpec(
         axis=v["axis"], lo=v["lo"], hi=v["hi"], steps=v["steps"], fixed=fixed,
@@ -489,11 +504,15 @@ def write_figure(
 
 # --- three-way validation harness ---------------------------------------------
 
-MEAN_RTOL = 1e-7
-MEAN_ATOL = 1e-9
-VAR_RTOL = 1e-6
-VAR_ATOL = 1e-9
-VIS_RTOL = 1e-10
+# every check of validate: (rtol, atol).  A deviation above rtol fails the
+# check; two values both at or below atol agree.
+CHECKS = {
+    "mean_closed_form_vs_gaussian": (1e-7, 1e-9),
+    "mean_gaussian_vs_fock": (1e-7, 1e-9),
+    "mean_closed_form_vs_fock": (1e-7, 1e-9),
+    "variance_gaussian_vs_fock": (1e-6, 1e-9),
+    "visibility_closed_form_vs_numeric": (1e-10, 1e-12),
+}
 
 
 @dataclass(frozen=True)
@@ -517,62 +536,58 @@ def _rel_dev(a: float, b: float, atol: float) -> float:
 
 
 def random_oracle_configs(seed: int, points: int) -> list[InterferometerConfig]:
-    """Seeded random grid inside the Fock-oracle regime."""
-    rng = np.random.default_rng(seed)
-    cfgs = []
-    for _ in range(points):
-        cfgs.append(
-            InterferometerConfig(
-                g1=float(rng.uniform(0.0, 0.3)),
-                g2=float(rng.uniform(0.0, 0.3)),
-                theta=float(rng.uniform(0.0, 2.0 * math.pi)),
-                t_s=float(rng.uniform(0.1, 1.0)),
-                t_i=float(rng.uniform(0.1, 1.0)),
-                n_i=float(rng.uniform(0.0, 4.0)),
-            )
-        )
-    return cfgs
-
-
-def _visibility_rows(
-    cfgs: list[InterferometerConfig],
-) -> list[tuple[float | None, Su11Error | None]]:
-    """The numeric visibility of each config and its first error, from one
-    batched Gaussian propagation of all of them."""
-    columns, errors = metrics.metric_columns(
-        config.stack(cfgs), ("visibility",), ShotNoiseConvention.AFTER_OPA1
+    """Seeded random grid inside the Fock-oracle regime, drawn config by
+    config in field order: g1, g2 in [0, 0.3), theta in [0, 2 pi), t_s, t_i
+    in [0.1, 1), n_i in [0, 4)."""
+    draws = np.random.default_rng(seed).uniform(
+        (0.0, 0.0, 0.0, 0.1, 0.1, 0.0), (0.3, 0.3, 2.0 * math.pi, 1.0, 1.0, 4.0), (points, 6)
     )
-    return list(zip(columns["visibility"], errors))
+    return [InterferometerConfig(*row) for row in draws.tolist()]
+
+
+# a validate point's Gaussian mean, variance, numeric visibility and first error
+GaussianRow = tuple[float, float, float | None, Su11Error | None]
+
+
+def _gaussian_rows(cfgs: list[InterferometerConfig]) -> list[GaussianRow]:
+    """Each config's Gaussian row: the signal mean and variance at its own
+    theta, from one batched propagation of all of them, and its numeric
+    visibility and first error, from one metrics.metric_columns call."""
+    stack = config.stack(cfgs)
+    mean, var = gaussian.signal_moments(stack, stack.theta[None])
+    columns, errors = metrics.metric_columns(
+        stack, ("visibility",), ShotNoiseConvention.AFTER_OPA1
+    )
+    return list(zip(mean[0].tolist(), var[0].tolist(), columns["visibility"], errors))
 
 
 def _validate_point(
-    cfg: InterferometerConfig,
-    visibility: tuple[float | None, Su11Error | None] | None = None,
+    cfg: InterferometerConfig, row: GaussianRow
 ) -> tuple[dict[str, float], list[str]]:
-    """The deviations and flags of one config; `visibility` is its row of
-    _visibility_rows, computed here as a batch of one when not given."""
-    v_num, v_error = _visibility_rows([cfg])[0] if visibility is None else visibility
-    worst: dict[str, float] = {}
-    flagged: list[str] = []
+    """The deviation of each check at one config, and its flags: its
+    Gaussian row of _gaussian_rows against the closed form and the Fock
+    oracle."""
+    g_mean, g_var, v_num, v_error = row
     cf_mean = closed_form.mean_signal(cfg)
-    g_stats = gaussian.photon_stats(gaussian.run_interferometer(cfg))
+    g_stats = gaussian.checked_stats(g_mean, g_var)
     f_stats = fock.pipeline(cfg, cutoff=fock.suggested_cutoff(cfg))
-    worst["mean_closed_form_vs_gaussian"] = _rel_dev(cf_mean, g_stats.mean, MEAN_ATOL)
-    worst["mean_gaussian_vs_fock"] = _rel_dev(g_stats.mean, f_stats.mean, MEAN_ATOL)
-    worst["mean_closed_form_vs_fock"] = _rel_dev(cf_mean, f_stats.mean, MEAN_ATOL)
-    worst["variance_gaussian_vs_fock"] = _rel_dev(
-        g_stats.variance, f_stats.variance, VAR_ATOL
-    )
+    pairs = {
+        "mean_closed_form_vs_gaussian": (cf_mean, g_stats.mean),
+        "mean_gaussian_vs_fock": (g_stats.mean, f_stats.mean),
+        "mean_closed_form_vs_fock": (cf_mean, f_stats.mean),
+        "variance_gaussian_vs_fock": (g_stats.variance, f_stats.variance),
+    }
+    flagged: list[str] = []
     try:
         v_cf = closed_form.visibility(cfg)
         if v_error is not None:
             raise v_error
-        worst["visibility_closed_form_vs_numeric"] = _rel_dev(v_cf, v_num, 1e-12)
+        pairs["visibility_closed_form_vs_numeric"] = (v_cf, v_num)
     except UndefinedVisibilityError:
         flagged.append(
             f"undefined-visibility: g1={cfg.g1:.4f} g2={cfg.g2:.4f} (skipped)"
         )
-    return worst, flagged
+    return {check: _rel_dev(a, b, CHECKS[check][1]) for check, (a, b) in pairs.items()}, flagged
 
 
 def validate(seed: int, points: int) -> ValidationReport:
@@ -584,24 +599,17 @@ def validate(seed: int, points: int) -> ValidationReport:
     worst_at: dict[str, InterferometerConfig] = {}
     flagged: list[str] = []
     failures: list[str] = []
-    results = [_validate_point(c, row) for c, row in zip(cfgs, _visibility_rows(cfgs))]
-
-    tol = {
-        "mean_closed_form_vs_gaussian": MEAN_RTOL,
-        "mean_gaussian_vs_fock": MEAN_RTOL,
-        "mean_closed_form_vs_fock": MEAN_RTOL,
-        "variance_gaussian_vs_fock": VAR_RTOL,
-        "visibility_closed_form_vs_numeric": VIS_RTOL,
-    }
-    for cfg, (devs, flags) in zip(cfgs, results):
+    for cfg, row in zip(cfgs, _gaussian_rows(cfgs)):
+        devs, flags = _validate_point(cfg, row)
         flagged.extend(flags)
         for check, dev in devs.items():
             if dev > worst.get(check, 0.0):
                 worst[check] = dev
                 worst_at[check] = cfg
-            if dev > tol[check]:
+            rtol = CHECKS[check][0]
+            if dev > rtol:
                 failures.append(
-                    f"{check}: deviation {dev:.3e} > {tol[check]:.0e} at "
+                    f"{check}: deviation {dev:.3e} > {rtol:.0e} at "
                     f"g1={cfg.g1:.6f} g2={cfg.g2:.6f} theta={cfg.theta:.6f} "
                     f"t_s={cfg.t_s:.6f} t_i={cfg.t_i:.6f} n_i={cfg.n_i:.6f}"
                 )
