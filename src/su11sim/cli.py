@@ -91,22 +91,33 @@ def _read_config(path: Path) -> str:
         raise DomainError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
 
 
+def _probe_outputs(paths: list[Path]) -> None:
+    """Open each output path for appending and close it again, so that one
+    that cannot be written fails before any output is: the probe truncates
+    nothing, and on a failure removes the files it made."""
+    new = [path for path in paths if not path.exists()]
+    try:
+        for path in paths:
+            path.open("a").close()
+    except OSError:
+        for path in new:
+            if path.exists():
+                path.unlink()
+        raise
+
+
 def _cmd_sweep(args) -> int:
     entries = {}
     if args.config is not None:
         entries = sweep.parse_config_text(_read_config(args.config))
     spec = sweep.spec_from_config(entries, _flag_values(args))
-    rows = sweep.run_sweep(spec)
-    csv_text = sweep.sweep_to_csv(spec, rows)
-    if args.out is not None:
-        args.out.write_text(csv_text)
-    else:
-        sys.stdout.write(csv_text)
+    table = sweep.run_sweep(spec)
+    _probe_outputs([path for path in (args.out, args.json) if path is not None])
+    write_csv = sys.stdout.write if args.out is None else args.out.write_text
+    write_csv(sweep.sweep_to_csv(spec, table))
     if args.json is not None:
-        args.json.write_text(sweep.sweep_to_json(spec, rows))
-    if any(row.error for row in rows):
-        return EXIT_POINT_ERRORS
-    return EXIT_OK
+        args.json.write_text(sweep.sweep_to_json(spec, table))
+    return EXIT_POINT_ERRORS if any(table.errors) else EXIT_OK
 
 
 def _cmd_figure(args) -> int:

@@ -159,9 +159,12 @@ class Block:
         self.errors: list[Su11Error | None] = [None] * len(cfgs.theta)
 
     def require(self, ok: np.ndarray, error: Callable[[int], Su11Error]) -> None:
-        """Give error(i) to each config i where ok fails that has no error yet."""
-        for i, good in enumerate(ok.tolist()):
-            if not good and self.errors[i] is None:
+        """Give error(i) to each config i where ok fails that has no error yet,
+        visiting only the failing configs, in order."""
+        if all(ok.tolist()):
+            return
+        for i in np.flatnonzero(~ok).tolist():
+            if self.errors[i] is None:
                 self.errors[i] = error(i)
 
     def require_finite(self, k: int) -> None:
@@ -172,6 +175,8 @@ class Block:
 
     def where_ok(self, column: np.ndarray) -> list[float | None]:
         """The column as floats, None for every config that failed a check."""
+        if not any(self.errors):
+            return column.tolist()
         return [v if e is None else None for v, e in zip(column.tolist(), self.errors)]
 
 

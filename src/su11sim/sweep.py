@@ -5,19 +5,23 @@ A sweep is evaluated in blocks of BLOCK_POINTS grid points, each as columns
 from end to end: the block's axis values become one config.ConfigStack by
 array operations (config_at is its batch of one), metrics.metric_columns
 propagates it once and returns one column per metric with each row's first
-error, and the block's rows are built from those columns.  SweepSpec rejects
-every range whose grid could hold an invalid configuration, so a block needs
-no per-row config check.
+error, and those columns are appended to the sweep's SweepTable.  No per-row
+object is built; a SweepTable is still a sequence of SweepRow, each made on
+demand when a caller indexes it.  SweepSpec rejects every range whose grid
+could hold an invalid configuration, so a block needs no per-row config
+check.
 
-CSV and JSON are written column by column: each output column becomes text in
-one conversion and the rows are filled into a fixed template of the sweep's
-columns, so the JSON is byte-identical to json.dumps(indent=2, sort_keys=True)
-without that call's pure-Python encoder."""
+CSV and JSON are written column by column from the table: each column
+becomes text once, kept on the table, so both writers read the same text,
+and the rows are filled into a fixed template of the sweep's columns.  The
+JSON is byte-identical to json.dumps(indent=2, sort_keys=True) without that
+call's pure-Python encoder."""
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
@@ -128,33 +132,58 @@ def config_at(spec: SweepSpec, x: float) -> InterferometerConfig:
     return InterferometerConfig(*(float(a[0]) for a in _block_configs(spec, np.array([x]))))
 
 
-def _evaluate_point(
-    x: float, values: dict[str, float | None], error: Su11Error | None
-) -> SweepRow:
-    """One row from its block's columns: its metric values and first error."""
-    return SweepRow(axis_value=x, values=values, error=None if error is None else str(error))
+def _evaluate_point(x: float, values: dict[str, float | None], error: str | None) -> SweepRow:
+    """One row of a sweep: its axis value, metric values and error text."""
+    return SweepRow(axis_value=x, values=values, error=error)
 
 
-def _evaluate_block(spec: SweepSpec, xs: np.ndarray) -> list[SweepRow]:
-    """The rows of a block of grid points: their configs as one stack, its
-    metric columns from one batched propagation, then one row per point."""
-    columns, errors = metrics.metric_columns(
-        _block_configs(spec, xs), spec.metrics, spec.snl_convention
-    )
-    return [
-        _evaluate_point(x, dict(zip(spec.metrics, values)), error)
-        for x, error, *values in zip(xs.tolist(), errors, *columns.values())
-    ]
+@dataclass(eq=False)
+class SweepTable(Sequence):
+    """A sweep's result as columns: the axis values, one list per metric (None
+    where the row failed before the metric was read) and each row's error
+    text (None where it has none).  Indexing it makes that row's SweepRow.
+    text(name) converts one output column to text on its first call and
+    keeps it, so the CSV and the JSON writer share one conversion."""
+
+    axis: str
+    axis_values: list[float]
+    values: dict[str, list[float | None]]
+    errors: list[str | None]
+    _text: dict[str, list[str]] = field(default_factory=dict, init=False, repr=False)
+
+    def __len__(self) -> int:
+        return len(self.axis_values)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        return _evaluate_point(self.axis_values[i],
+                               {m: column[i] for m, column in self.values.items()},
+                               self.errors[i])
+
+    def text(self, name: str) -> list[str]:
+        """The JSON text of each value of the output column name (the axis, a
+        metric or "error"), converted once."""
+        if name not in self._text:
+            column = (self.axis_values if name == self.axis
+                      else self.errors if name == "error" else self.values[name])
+            self._text[name] = _json_tokens(column)
+        return self._text[name]
 
 
-def run_sweep(spec: SweepSpec) -> list[SweepRow]:
+def run_sweep(spec: SweepSpec) -> SweepTable:
     """Evaluate the requested metrics at every grid point, in axis order,
-    BLOCK_POINTS points per batched propagation."""
+    BLOCK_POINTS points per batched propagation, into one SweepTable."""
     xs = grid(spec)
-    rows: list[SweepRow] = []
+    table = SweepTable(spec.axis, xs.tolist(), {m: [] for m in spec.metrics}, [])
     for start in range(0, len(xs), BLOCK_POINTS):
-        rows += _evaluate_block(spec, xs[start:start + BLOCK_POINTS])
-    return rows
+        columns, errors = metrics.metric_columns(
+            _block_configs(spec, xs[start:start + BLOCK_POINTS]), spec.metrics,
+            spec.snl_convention)
+        for m, column in columns.items():
+            table.values[m] += column
+        table.errors += [None if e is None else str(e) for e in errors]
+    return table
 
 
 # --- config keys: one table drives the config file, CLI flags and provenance --
@@ -308,25 +337,10 @@ def spec_from_config(entries: dict[str, str], overrides: dict | None = None) -> 
 # --- output ------------------------------------------------------------------
 
 
-def _fmt(v: float | None) -> str:
-    return "" if v is None else repr(float(v))
-
-
 def _csv_quote(s: str) -> str:
     if any(ch in s for ch in ',"\n\r'):
         return '"' + s.replace('"', '""') + '"'
     return s
-
-
-def _columns(spec: SweepSpec, rows: list[SweepRow]) -> dict[str, list]:
-    """The rows as one column per output field: the axis value, each metric
-    (None where a row has no value for it) and the error."""
-    values = [row.values for row in rows]
-    return {
-        spec.axis: [row.axis_value for row in rows],
-        **{m: [v.get(m) for v in values] for m in spec.metrics},
-        "error": [row.error for row in rows],
-    }
 
 
 def _json_tokens(column: list) -> list[str]:
@@ -336,30 +350,39 @@ def _json_tokens(column: list) -> list[str]:
     return json.dumps(column, separators=("\n", ": "))[1:-1].split("\n") if column else []
 
 
-def sweep_to_csv(spec: SweepSpec, rows: list[SweepRow]) -> str:
+# the CSV cell of a JSON token that is neither a float repr nor an int
+_CSV_CELLS = {"null": "", "NaN": "nan", "Infinity": "inf", "-Infinity": "-inf"}
+
+
+def _csv_cells(tokens: list[str]) -> list[str]:
+    """The CSV cells of a number column from its JSON text: repr(float(v)),
+    empty for None.  A float repr holds "." or "e" and is its own cell; an int
+    is written as the float it converts to."""
+    return [t if "." in t or "e" in t else _CSV_CELLS[t] if t in _CSV_CELLS
+            else repr(float(t)) for t in tokens]
+
+
+def sweep_to_csv(spec: SweepSpec, table: SweepTable) -> str:
     """Render a sweep as CSV with a '#'-prefixed header block for provenance."""
-    header = [f"# su11sim {__version__}"]
-    for line in spec_to_config_text(spec).splitlines():
-        header.append(f"# {line}")
+    header = [f"# su11sim {__version__}",
+              *(f"# {line}" for line in spec_to_config_text(spec).splitlines())]
     names = [spec.axis, *spec.metrics, "error"]
-    columns = _columns(spec, rows)
-    cells = [list(map(_fmt, columns[name])) for name in names[:-1]]
-    cells.append([_csv_quote(e) if e else "" for e in columns["error"]])
+    cells = [_csv_cells(table.text(name)) for name in names[:-1]]
+    cells.append([_csv_quote(e) if e else "" for e in table.errors])
     return "\n".join([*header, ",".join(names), *map(",".join, zip(*cells)), ""])
 
 
-def sweep_to_json(spec: SweepSpec, rows: list[SweepRow]) -> str:
+def sweep_to_json(spec: SweepSpec, table: SweepTable) -> str:
     """JSON mirror of the CSV output, identical field names.  The text is that
     of json.dumps({"version", "spec", "rows"}, indent=2, sort_keys=True), with
     each row filled into the template of its sorted keys."""
-    columns = _columns(spec, rows)
-    keys = sorted(columns)
+    keys = sorted([spec.axis, *spec.metrics, "error"])
     template = "    {\n" + ",\n".join(f"      {json.dumps(key)}: %s" for key in keys) + "\n    }"
-    items = ",\n".join(map(template.__mod__, zip(*(_json_tokens(columns[k]) for k in keys))))
+    items = ",\n".join(map(template.__mod__, zip(*map(table.text, keys))))
     rest = json.dumps({"spec": {key.name: key.get(spec) for key in CONFIG_KEYS},
                        "version": __version__}, indent=2, sort_keys=True)
     # "rows" sorts before "spec" and "version", so it opens the object
-    rows_value = ["[\n", items, "\n  ]"] if rows else ["[]"]
+    rows_value = ["[\n", items, "\n  ]"] if table else ["[]"]
     return "".join(['{\n  "rows": ', *rows_value, ",\n", rest[len("{\n"):], "\n"])
 
 
@@ -425,22 +448,15 @@ def figure_table(
     convention: ShotNoiseConvention = ShotNoiseConvention.PAIR_AFTER_OPA1,
     axis_total: bool = False,
 ) -> tuple[list[str], list[list[float | None]], list[str], dict]:
-    """Evaluate one figure preset; returns (columns, rows, errors, extra)."""
+    """Evaluate one figure preset; returns (columns, rows, errors, extra).
+    The rows are read from each series' SweepTable columns."""
     series, extra = _figure_series(name, convention, axis_total)
-    xs = grid(next(iter(series.values())))
     results = {label: run_sweep(spec) for label, spec in series.items()}
-    cols = ["transmission", *results.keys()]
-    table: list[list[float | None]] = []
-    errors: list[str] = []
-    for i, x in enumerate(xs):
-        row: list[float | None] = [float(x)]
-        for label in results:
-            r = results[label][i]
-            row.append(r.values.get(series[label].metrics[0]))
-            if r.error:
-                errors.append(f"{label}@{x:g}: {r.error}")
-        table.append(row)
-    return cols, table, errors, extra
+    xs = grid(next(iter(series.values()))).tolist()
+    columns = [xs, *(results[label].values[spec.metrics[0]] for label, spec in series.items())]
+    errors = [f"{label}@{x:g}: {table.errors[i]}"
+              for i, x in enumerate(xs) for label, table in results.items() if table.errors[i]]
+    return ["transmission", *results], list(map(list, zip(*columns))), errors, extra
 
 
 def _gnuplot_sidecar(name: str, cols: list[str]) -> str:
@@ -470,32 +486,18 @@ def write_figure(
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     cols, table, errors, extra = figure_table(name, convention, axis_total)
-    lines = [f"# su11sim {__version__}", f"# figure = {name}"]
-    lines.append(f"# snl_convention = {convention.value}")
-    lines.append(f"# axis_total = {str(axis_total).lower()}")
-    for k, v in extra.items():
-        lines.append(f"# {k} = {v!r}")
-    for err in errors:
-        lines.append(f"# error: {err}")
-    lines.append(",".join(cols))
-    for row in table:
-        lines.append(",".join(_fmt(v) for v in row))
+    # provenance: the CSV header lines and the JSON mirror's keys
+    meta = dict(figure=name, snl_convention=convention.value, axis_total=axis_total, **extra)
+    cells = (_csv_cells(_json_tokens(list(column))) for column in zip(*table))
+    lines = [f"# su11sim {__version__}", *(f"# {k} = {_text(v)}" for k, v in meta.items()),
+             *(f"# error: {err}" for err in errors), ",".join(cols), *map(",".join, zip(*cells))]
     csv_path = outdir / f"{name}.csv"
     csv_path.write_text("\n".join(lines) + "\n")
     gp_path = outdir / f"{name}.gp"
     gp_path.write_text(_gnuplot_sidecar(name, cols))
     paths = [csv_path, gp_path]
     if json_mirror:
-        payload = {
-            "version": __version__,
-            "figure": name,
-            "snl_convention": convention.value,
-            "axis_total": axis_total,
-            **extra,
-            "columns": cols,
-            "rows": table,
-            "errors": errors,
-        }
+        payload = {"version": __version__, **meta, "columns": cols, "rows": table, "errors": errors}
         json_path = outdir / f"{name}.json"
         json_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         paths.append(json_path)

@@ -150,6 +150,35 @@ class TestOptimalSensitivity:
         assert db50 - db0 >= 1.0
 
 
+class TestBlock:
+    @staticmethod
+    def block(n):
+        return m.Block(config.stack([cfg()] * n), m._FRINGE_THETAS)
+
+    def test_require_visits_the_failing_rows_in_order_first_error_wins(self):
+        block = self.block(5)
+        visited = []
+
+        def error(tag):
+            def make(i):
+                visited.append((tag, i))
+                return DomainError(f"{tag}{i}")
+            return make
+
+        block.require(np.array([True, False, True, False, True]), error("a"))
+        block.require(np.array([False, False, True, True, True]), error("b"))
+        block.require(np.ones(5, dtype=bool), error("c"))
+        assert visited == [("a", 1), ("a", 3), ("b", 0)]
+        assert [e and str(e) for e in block.errors] == ["b0", "a1", None, "a3", None]
+
+    def test_where_ok_drops_only_failed_rows(self):
+        block = self.block(3)
+        column = np.array([1.0, -2.5, math.inf])
+        assert block.where_ok(column) == [1.0, -2.5, math.inf]
+        block.require(np.array([True, False, True]), lambda i: DomainError("x"))
+        assert block.where_ok(column) == [1.0, None, math.inf]
+
+
 def random_config(rng, lossy=False):
     lo_t = 0.3 if lossy else 0.0
     hi_t = 0.95 if lossy else 1.0

@@ -28,6 +28,14 @@ def make_spec(**overrides):
     return sweep.SweepSpec(**kwargs)
 
 
+def table_of(spec, rows):
+    """The SweepTable that holds the given rows for spec's axis and metrics,
+    None where a row has no value for a metric."""
+    return sweep.SweepTable(spec.axis, [row.axis_value for row in rows],
+                            {m: [row.values.get(m) for row in rows] for m in spec.metrics},
+                            [row.error for row in rows])
+
+
 class TestSweepSpec:
     def test_unknown_axis_rejected(self):
         with pytest.raises(DomainError):
@@ -254,7 +262,8 @@ class TestSerialization:
 
     def test_csv_quotes_error_messages(self):
         row = sweep.SweepRow(axis_value=0.5, values={"mean": None}, error='a,"b"')
-        text = sweep.sweep_to_csv(make_spec(steps=2, metrics=("mean",)), [row])
+        spec = make_spec(steps=2, metrics=("mean",))
+        text = sweep.sweep_to_csv(spec, table_of(spec, [row]))
         assert '"a,""b"""' in text
 
     def test_json_mirror_matches_csv(self):
@@ -328,8 +337,9 @@ class TestWritersMatchPerRowReference:
                                          ("visibility", "mean")])
     def test_hand_made_rows(self, rows, metrics):
         spec = make_spec(metrics=metrics)
-        assert sweep.sweep_to_csv(spec, rows) == reference_csv(spec, rows)
-        assert sweep.sweep_to_json(spec, rows) == reference_json(spec, rows)
+        table = table_of(spec, rows)
+        assert sweep.sweep_to_csv(spec, table) == reference_csv(spec, rows)
+        assert sweep.sweep_to_json(spec, table) == reference_json(spec, rows)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_random_sweeps(self, seed):
@@ -349,6 +359,66 @@ class TestWritersMatchPerRowReference:
         rows = sweep.run_sweep(spec)
         assert sweep.sweep_to_csv(spec, rows) == reference_csv(spec, rows)
         assert sweep.sweep_to_json(spec, rows) == reference_json(spec, rows)
+
+
+# run_sweep results that hold error cells: the G1 overflow sweep, and a
+# huge-seed sweep whose last rows overflow
+ERROR_CELL_SPECS = {
+    "gain_overflow": sweep.SweepSpec(axis="G1", lo=0.0, hi=400.0, steps=9,
+                                     fixed=InterferometerConfig(g1=0.0, g2=0.1),
+                                     metrics=sweep.METRICS),
+    "huge_seed": sweep.SweepSpec(axis="n_i", lo=1e150, hi=1.7e308, steps=7,
+                                 fixed=InterferometerConfig(g1=0.1, g2=0.1),
+                                 metrics=("db_vs_shotnoise", "mean", "visibility")),
+}
+
+
+class TestSharedColumnText:
+    """Both writers read one text per column, kept on the SweepTable."""
+
+    @pytest.mark.parametrize("name", sorted(ERROR_CELL_SPECS))
+    def test_bytes_do_not_depend_on_call_order(self, name):
+        spec = ERROR_CELL_SPECS[name]
+        table = sweep.run_sweep(spec)
+        assert any(table.errors) and not all(table.errors)
+        rows = list(table)
+        csv_text, json_text = reference_csv(spec, rows), reference_json(spec, rows)
+        for _ in range(2):
+            assert sweep.sweep_to_json(spec, table) == json_text
+        for _ in range(2):
+            assert sweep.sweep_to_csv(spec, table) == csv_text
+
+    def test_each_column_is_converted_once(self, monkeypatch):
+        spec = ERROR_CELL_SPECS["gain_overflow"]
+        table = sweep.run_sweep(spec)
+        converted = []
+        tokens = sweep._json_tokens
+        monkeypatch.setattr(sweep, "_json_tokens",
+                            lambda column: converted.append(column) or tokens(column))
+        for _ in range(2):
+            sweep.sweep_to_csv(spec, table)
+            sweep.sweep_to_json(spec, table)
+        # the number columns are shared; the error column is read by the JSON alone
+        columns = [table.axis_values, *table.values.values(), table.errors]
+        assert len(converted) == len(columns) == 2 + len(spec.metrics)
+        assert all(sum(c is column for c in converted) == 1 for column in columns)
+
+    def test_rows_are_made_only_when_read(self, monkeypatch, tmp_path):
+        made = []
+        evaluate = sweep._evaluate_point
+        monkeypatch.setattr(sweep, "_evaluate_point",
+                            lambda *args: made.append(args[0]) or evaluate(*args))
+        argv = ["sweep", "--axis", "G1", "--lo", "0", "--hi", "400", "--steps", "9",
+                "--g2", "0.1", "--metrics", "mean,visibility",
+                "--out", str(tmp_path / "s.csv"), "--json", str(tmp_path / "s.json")]
+        assert cli.main(argv) == cli.EXIT_POINT_ERRORS
+        assert made == []
+        table = sweep.run_sweep(ERROR_CELL_SPECS["gain_overflow"])
+        assert table[-1] == sweep.SweepRow(
+            400.0, {m: None for m in sweep.METRICS}, table.errors[-1])
+        assert table[1:3] == [table[1], table[2]]
+        assert [row.axis_value for row in table] == table.axis_values
+        assert made == [400.0, 50.0, 100.0, 50.0, 100.0, *table.axis_values]
 
 
 class TestFigures:
@@ -580,6 +650,25 @@ class TestCli:
         assert err.startswith(f"su11: error: {bad.format(**paths)}: {reason}")
         assert err.count("\n") == 1 and err.endswith("\n")
 
+    @pytest.mark.parametrize("out, json_path", [
+        (None, "{dir}"), ("{new}.csv", "{dir}"), ("{old}", "{dir}"), ("{dir}", "{new}.json"),
+    ], ids=["json_dir_stdout", "json_dir_out_new", "json_dir_out_old", "out_dir_json_new"])
+    def test_bad_output_path_writes_nothing(self, tmp_path, capsys, out, json_path):
+        # every output path is checked before any output is written: nothing
+        # on stdout, no new file left behind, an existing file not truncated
+        paths = dict(dir=tmp_path, new=tmp_path / "new", old=tmp_path / "old.csv")
+        paths["old"].write_text("old\n")
+        argv = ["sweep", "--axis", "theta", "--g1", "0.1", "--g2", "0.1",
+                "--json", json_path.format(**paths)]
+        if out is not None:
+            argv += ["--out", out.format(**paths)]
+        assert cli.main(argv) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"su11: error: {tmp_path}: Is a directory")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["old.csv"]
+        assert paths["old"].read_text() == "old\n"
+
     def test_sweep_non_integer_steps_names_the_key(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("g1 = 0.1\ng2 = 0.1\naxis = theta\nsteps = 2.5\n")
@@ -753,7 +842,7 @@ class TestGivenTransmission:
     def test_config_text_and_json_keep_the_given_value(self, ts2):
         spec = sweep.spec_from_config({"axis": "t_i2", "ts2": ts2, "ti2": ts2})
         assert f"ts2 = {float(ts2)!r}\nti2 = {float(ts2)!r}\n" in sweep.spec_to_config_text(spec)
-        payload = json.loads(sweep.sweep_to_json(spec, []))
+        payload = json.loads(sweep.sweep_to_json(spec, table_of(spec, [])))
         assert payload["spec"]["ts2"] == payload["spec"]["ti2"] == float(ts2)
 
 
