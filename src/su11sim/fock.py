@@ -3,21 +3,22 @@
 Everything here is deliberately independent of the Gaussian engine: the seed
 is the exact coherent state e^{-|alpha|^2/2} alpha^n / sqrt(n!) cut at the
 cutoff, and the two-mode squeeze is exponentiated sector by sector, through
-the eigendecomposition of a real symmetric tridiagonal matrix per sector of
-fixed n_s - n_i.
+the singular value decomposition of the half-size even-odd block of a real
+symmetric tridiagonal matrix per sector of fixed n_s - n_i.
 
 A pure state is a (D, D) amplitude array indexed (n_s, n_i).  Loss makes it
 mixed, and a mixed state is kept as its sector density
 
     Z[delta, n_s, n_i] = <n_s, n_i| rho |n_s + delta, n_i + delta>,
 
-shape (2D - 1, D, D) with delta + D - 1 on the first axis: the part of rho
-that commutes with exp[i phi (n_s - n_i)].  Dropping the rest is exact, not a
-truncation.  Squeeze, loss and phase each commute with that rotation, and so
-does the photon-number readout, so coherences between different n_s - n_i
-can never reach a reported statistic.  The sector density holds D^3
-amplitudes, and loss, phase and squeeze are each one batched matrix product
-over delta or over the sectors.
+the part of rho that commutes with exp[i phi (n_s - n_i)].  Dropping the rest
+is exact, not a truncation.  Squeeze, loss and phase each commute with that
+rotation, and so does the photon-number readout, so coherences between
+different n_s - n_i can never reach a reported statistic.  Hermiticity gives
+Z[-delta][n + delta, m + delta] = conj Z[delta][n, m], so only the delta >= 0
+half is stored: shape (D, D, D), delta on the first axis.  Loss and phase act
+on each delta alone, and the squeeze on each sector's Hermitian block, whose
+upper triangle is that half; each is one batched matrix product.
 
 The pipeline runs in real float64 arithmetic.  Every factor before the phase
 is real (the seed at alpha = sqrt(n_i), the squeeze blocks, the loss weights),
@@ -30,6 +31,12 @@ distribution.  The public `phase_shift` still returns the true, complex state,
 and a pure state (a lossless device) crosses the phase as its complex (D, D)
 amplitudes, which cost little.  Every state keeps its input's dtype, so a
 complex seed alpha gives complex amplitudes.
+
+OPA 2 is the last element, and the pipeline reads only the diagonal of its
+output.  So it forms no output state: per sector block it takes the
+distribution straight from the upper triangle of the input block, with one
+batched product (`_apply_squeeze_readout`).  The public `squeeze` still
+returns the whole state.
 
 The oracle regime is small gains and seeds; the cutoff auto-doubles when the
 tail of the photon-number distribution becomes populated or probability is
@@ -61,8 +68,8 @@ _AXIS = {SIGNAL: 0, IDLER: 1}
 @dataclass(frozen=True)
 class FockTwoModeState:
     """Truncated two-mode state: an amplitude array (D, D) indexed (n_s, n_i)
-    if pure, else the sector density (2D - 1, D, D) indexed
-    (delta + D - 1, n_s, n_i), see the module docstring."""
+    if pure, else the delta >= 0 half of the sector density, (D, D, D)
+    indexed (delta, n_s, n_i), see the module docstring."""
 
     tensor: np.ndarray
 
@@ -90,10 +97,10 @@ class _Sectors(NamedTuple):
 
     flat: np.ndarray  # (2d-1, d): flat index n_s d + n_i of state a of sector s
     pure: tuple  # (amplitude, sector-vector) flat index pairs, one per state
-    mixed: tuple  # (sector-density, sector-block) flat index pairs
-    w: np.ndarray  # (d, d): eigenvalues of the unit-gain block T, by |s|
-    even: np.ndarray  # (d, (d+1)//2, d): rows a = 0, 2, ... of R V, by |s|
-    odd: np.ndarray  # (d, d//2, d): rows a = 1, 3, ... of R V
+    mixed: tuple  # (sector-density, sector-block) flat index pairs, b >= a
+    sv: np.ndarray  # (d, (d+1)//2): singular values of B, by |s|; 0-padded
+    x: np.ndarray  # (d, (d+1)//2, (d+1)//2): R X, rows a = 0, 2, ...
+    y: np.ndarray  # (d, d//2, d//2): R Y, rows a = 1, 3, ...
 
 
 @lru_cache(maxsize=4)
@@ -102,24 +109,31 @@ def _sectors(d: int) -> _Sectors:
 
     The squeeze generator conserves n_s - n_i.  On sector s it is g times an
     antisymmetric tridiagonal matrix gen, with sub_a = sqrt((a+1)(a+1+|s|))
-    below the diagonal and -sub_a above it, so one eigendecomposition at unit
-    gain serves every g, and sectors s and -s share it.  With P = diag(i^a),
+    below the diagonal and -sub_a above it, so one decomposition at unit gain
+    serves every g, and sectors s and -s share it.  With P = diag(i^a),
     gen = P (-i T) P^-1 for the real symmetric tridiagonal T that has sub on
-    both off-diagonals, so from T = V diag(w) V^T:
-        exp(g gen) = Re[P V diag(e^{-igw}) V^T P^-1].
-    T only links a to a +- 1, so C = V cos(gw) V^T vanishes unless a - b is
-    even and S = V sin(gw) V^T unless it is odd.  With P = R diag(i^(a%2)),
-    R = diag((-1)^(a//2)), the real part is R C R on even a - b, R S R for odd
-    a and even b, and -R S R for even a and odd b: real products of R V.
+    both off-diagonals, so exp(g gen) = Re[P (cos gT - i sin gT) P^-1].
+    T only links a to a +- 1: in even-odd order T = [[0, B], [B^T, 0]] with
+    B = T[::2, 1::2], and from B = X diag(sv) Y^T
+        cos gT = [[X cos(g sv) X^T, 0], [0, Y cos(g sv) Y^T]],
+        sin gT = [[0, X sin(g sv) Y^T], [Y sin(g sv) X^T, 0]].
+    For odd d, X has one column more than Y; it spans B's left null space
+    and takes sv = 0, so cos = 1 there.  With P = R diag(i^(a%2)),
+    R = diag((-1)^(a//2)), the real part is R cos(gT) R on even a - b,
+    R sin(gT) R for odd a and even b, and -R sin(gT) R for even a and odd b:
+    real products of R X and R Y, from one SVD of the (d, (d+1)//2, d//2)
+    stack of B.  At d <= 64 that SVD, unlike an eigendecomposition of the
+    (d, d, d) stack of T, stays off OpenBLAS's worker threads.
     """
     s = np.arange(-(d - 1), d)[:, None]
     a = np.arange(d)
     valid = a < d - np.abs(s)
     flat = (a + np.maximum(s, 0)) * d + a + np.maximum(-s, 0)
     pure = (flat[valid], np.flatnonzero(valid))
-    block = valid[:, :, None] & valid[:, None, :]  # (s, a, b)
-    # <row a| rho |column b> of sector s sits at delta = b - a
-    z = (a - a[:, None] + d - 1) * d * d + flat[:, :, None]
+    # <row a| rho |column b> of sector s sits at delta = b - a: the stored
+    # half is the upper triangle b >= a of each block
+    block = valid[:, :, None] & valid[:, None, :] & (a >= a[:, None])  # (s, a, b)
+    z = (a - a[:, None]) * d * d + flat[:, :, None]
     mixed = (z[block], np.flatnonzero(block))
 
     off = np.arange(d)[:, None]
@@ -127,23 +141,32 @@ def _sectors(d: int) -> _Sectors:
     t = np.zeros((d, d, d))
     t[:, a[1:], a[:-1]] = sub
     t[:, a[:-1], a[1:]] = sub
-    w, v = np.linalg.eigh(t)
-    rv = v * (-1.0) ** (a // 2)[:, None]
-    return _Sectors(flat, pure, mixed, w, rv[:, ::2].copy(), rv[:, 1::2].copy())
+    x, sv, yt = np.linalg.svd(t[:, ::2, 1::2])
+    sv = np.pad(sv, ((0, 0), (0, d % 2)))
+    sign = (-1.0) ** np.arange((d + 1) // 2)[:, None]
+    return _Sectors(flat, pure, mixed, sv, sign * x, sign[: d // 2] * yt.transpose(0, 2, 1))
+
+
+@lru_cache(maxsize=4)
+def _loss_binomials(d: int) -> np.ndarray:
+    """(d, d): sqrt(C(m', m)) at [m, m'], zero below the diagonal."""
+    n = np.arange(d)
+    return np.sqrt(comb(n, n[:, None]))
 
 
 def _sector_unitaries(g: float, d: int) -> np.ndarray:
-    """(d, d, d) real: the squeeze exp(g gen) on each sector, by |s|; the
-    zero padding of a sector maps to itself."""
+    """(2d - 1, d, d) real: the squeeze exp(g gen) on each sector, by
+    s + d - 1; the zero padding of a sector maps to itself."""
     sec = _sectors(d)
-    cos, sin = np.cos(g * sec.w)[:, None, :], np.sin(g * sec.w)[:, None, :]
-    even_t, odd_t = sec.even.transpose(0, 2, 1), sec.odd.transpose(0, 2, 1)
+    gsv = g * sec.sv[:, None, :]
+    x, y = sec.x, sec.y
+    x_t = x.transpose(0, 2, 1)
     u = np.empty((d, d, d))
-    u[:, ::2, ::2] = (sec.even * cos) @ even_t
-    u[:, 1::2, 1::2] = (sec.odd * cos) @ odd_t
-    u[:, 1::2, ::2] = (sec.odd * sin) @ even_t
+    u[:, ::2, ::2] = (x * np.cos(gsv)) @ x_t
+    u[:, 1::2, 1::2] = (y * np.cos(gsv[..., : d // 2])) @ y.transpose(0, 2, 1)
+    u[:, 1::2, ::2] = (y * np.sin(gsv[..., : d // 2])) @ x_t[:, : d // 2]
     u[:, ::2, 1::2] = -u[:, 1::2, ::2].transpose(0, 2, 1)
-    return u
+    return u[np.abs(np.arange(-(d - 1), d))]
 
 
 def _squeeze_blocks(g: float, d: int):
@@ -152,7 +175,7 @@ def _squeeze_blocks(g: float, d: int):
     flat, blocks = _sectors(d).flat, _sector_unitaries(g, d)
     for s in range(-(d - 1), d):
         m = d - abs(s)
-        yield flat[s + d - 1, :m], blocks[abs(s), :m, :m]
+        yield flat[s + d - 1, :m], blocks[s + d - 1, :m, :m]
 
 
 def _regroup(src: np.ndarray, take: np.ndarray, put: np.ndarray, shape) -> np.ndarray:
@@ -165,7 +188,7 @@ def _regroup(src: np.ndarray, take: np.ndarray, put: np.ndarray, shape) -> np.nd
 def _apply_squeeze_unitary(state: FockTwoModeState, g: float) -> FockTwoModeState:
     d = state.cutoff
     sec = _sectors(d)
-    u = _sector_unitaries(g, d)[np.abs(np.arange(-(d - 1), d))]
+    u = _sector_unitaries(g, d)
     if state.is_pure:
         amp, vec = sec.pure
         x = _regroup(state.tensor, amp, vec, (2 * d - 1, d, 1))
@@ -173,8 +196,31 @@ def _apply_squeeze_unitary(state: FockTwoModeState, g: float) -> FockTwoModeStat
     else:
         dens, blk = sec.mixed
         r = _regroup(state.tensor, dens, blk, (2 * d - 1, d, d))
+        # the Hermitian block from its upper triangle
+        r += np.triu(r, 1).conj().transpose(0, 2, 1)
         out = _regroup(u @ r @ u.transpose(0, 2, 1), blk, dens, state.tensor.shape)
     return FockTwoModeState(tensor=out)
+
+
+def _apply_squeeze_readout(state: FockTwoModeState, g: float) -> np.ndarray:
+    """P(n_s, n_i) of _apply_squeeze_unitary(state, g).
+
+    A mixed state's sector block is R = R_t + R_t^H - diag(R_t) for its stored
+    upper triangle R_t.  Every block U is real, so the diagonal of U R U^T is
+        2 Re rowsum((U R_t) * U) - (U * U) diag(R_t):
+    one batched product, and the output state is never formed.
+    """
+    if state.is_pure:
+        return _joint_distribution(_apply_squeeze_unitary(state, g))
+    d = state.cutoff
+    sec = _sectors(d)
+    u = _sector_unitaries(g, d)
+    dens, blk = sec.mixed
+    r = _regroup(state.tensor, dens, blk, (2 * d - 1, d, d))
+    diag = np.diagonal(r, axis1=1, axis2=2).real[:, :, None]
+    p = 2.0 * ((u @ r) * u).sum(axis=2).real - ((u * u) @ diag)[:, :, 0]
+    amp, vec = sec.pure
+    return _regroup(p, vec, amp, (d, d))
 
 
 def _joint_distribution(state: FockTwoModeState) -> np.ndarray:
@@ -182,7 +228,7 @@ def _joint_distribution(state: FockTwoModeState) -> np.ndarray:
     sector density at delta = 0."""
     if state.is_pure:
         return np.abs(state.tensor) ** 2
-    return state.tensor[state.cutoff - 1].real
+    return state.tensor[0].real
 
 
 def number_distribution(state: FockTwoModeState, mode: str = SIGNAL) -> np.ndarray:
@@ -207,22 +253,22 @@ def _pad(state: FockTwoModeState, new_cutoff: int) -> FockTwoModeState:
         amp = np.zeros((new_cutoff, new_cutoff), dtype=state.tensor.dtype)
         amp[:d, :d] = state.tensor
     else:
-        # delta = 0 moves from row d - 1 to row new_cutoff - 1
-        amp = np.zeros((2 * new_cutoff - 1, new_cutoff, new_cutoff), state.tensor.dtype)
-        amp[new_cutoff - d : new_cutoff + d - 1, :d, :d] = state.tensor
+        amp = np.zeros((new_cutoff,) * 3, dtype=state.tensor.dtype)
+        amp[:d, :d, :d] = state.tensor
     return FockTwoModeState(tensor=amp)
 
 
-def _with_tail_retry(state, op, label):
-    """Apply op; if the output populates the cutoff tail or has lost norm, pad
-    the input to twice its cutoff, capped at MAX_CUTOFF, and redo.
+def _with_tail_retry(state, op, label, dist=_joint_distribution):
+    """Apply op; if the joint distribution dist(output) populates the cutoff
+    tail or has lost norm, pad the input to twice its cutoff, capped at
+    MAX_CUTOFF, and redo.
 
     Squeeze and loss keep the norm inside the truncated space; the seed's
     amplitudes are exact, so its norm deficit is the mass lost past the cutoff.
     """
     while True:
         out = op(state)
-        prob = _joint_distribution(out)
+        prob = dist(out)
         lost = _tail_mass(prob) + max(1.0 - float(prob.sum()), 0.0)
         if lost < TAIL_TOL:
             return out
@@ -242,6 +288,16 @@ def squeeze(state: FockTwoModeState, g: float) -> FockTwoModeState:
         return state
     return _with_tail_retry(
         state, lambda st: _apply_squeeze_unitary(st, g), "squeeze"
+    )
+
+
+def _squeezed_distribution(state: FockTwoModeState, g: float) -> np.ndarray:
+    """P(n_s, n_i) of squeeze(state, g), through the same tail retry, without
+    forming the output state (see _apply_squeeze_readout)."""
+    if g == 0:
+        return _joint_distribution(state)
+    return _with_tail_retry(
+        state, lambda st: _apply_squeeze_readout(st, g), "squeeze", dist=lambda p: p
     )
 
 
@@ -278,17 +334,17 @@ def phase_shift(
     if state.is_pure:
         ph = np.exp(1j * theta * np.arange(d)).reshape((-1,) + (1,) * (1 - axis))
     else:
-        ph = np.exp(-1j * theta * np.arange(-(d - 1), d))[:, None, None]
+        ph = np.exp(-1j * theta * np.arange(d))[:, None, None]
     return FockTwoModeState(tensor=state.tensor * ph)
 
 
 def _diagonal_shifts(a: np.ndarray) -> np.ndarray:
-    """(2D - 1, D, D) stack of a (D, D) array shifted along its diagonal:
-    out[delta + D - 1, n, m] = a[n + delta, m + delta], zero outside a."""
+    """(D, D, D) stack of a (D, D) array shifted along its diagonal:
+    out[delta, n, m] = a[n + delta, m + delta], zero outside a."""
     d = a.shape[0]
-    pad = np.zeros((3 * d - 2, 3 * d - 2), dtype=a.dtype)
-    pad[d - 1 : 2 * d - 1, d - 1 : 2 * d - 1] = a
-    k = np.arange(2 * d - 1)
+    pad = np.zeros((2 * d - 1, 2 * d - 1), dtype=a.dtype)
+    pad[:d, :d] = a
+    k = np.arange(d)
     return np.lib.stride_tricks.sliding_window_view(pad, (d, d))[k, k]
 
 
@@ -310,7 +366,7 @@ def loss(state: FockTwoModeState, t: float, mode: str) -> FockTwoModeState:
     n = np.arange(d)
     k = np.maximum(n - n[:, None], 0)
     # w[m, m + k] = w(m, k), zero below the diagonal
-    w = np.sqrt(comb(n, n[:, None])) * t ** n[:, None] * (1.0 - t * t) ** (k / 2)
+    w = _loss_binomials(d) * t ** n[:, None] * (1.0 - t * t) ** (k / 2)
     lmat = w * _diagonal_shifts(w)
     if state.is_pure:
         z = state.tensor * _diagonal_shifts(state.tensor).conj()
@@ -327,8 +383,12 @@ def norm_deficit(state: FockTwoModeState) -> float:
 
 def photon_stats(state: FockTwoModeState, mode: str = SIGNAL) -> PhotonStats:
     """Mean and variance of one mode's photon number by direct summation."""
-    p = number_distribution(state, mode)
-    n = np.arange(state.cutoff, dtype=float)
+    return _moments(number_distribution(state, mode))
+
+
+def _moments(p: np.ndarray) -> PhotonStats:
+    """Mean and variance of a photon-number distribution p(n)."""
+    n = np.arange(len(p), dtype=float)
     mean = float(n @ p)
     var = float((n * n) @ p) - mean * mean
     return PhotonStats(mean=mean, variance=var)
@@ -355,6 +415,7 @@ def pipeline(
     """Full interferometer in the truncated Fock basis; returns signal stats.
 
     Order matches the Gaussian engine: seed -> OPA1 -> loss -> phase -> OPA2.
+    OPA 2 returns only the joint photon-number distribution.
     """
     state = vacuum(cutoff)
     state = displace(state, np.sqrt(cfg.n_i), IDLER)
@@ -364,8 +425,7 @@ def pipeline(
     if state.is_pure:
         state = phase_shift(state, cfg.theta, SIGNAL)
     else:  # the real part of the phase: the +-theta mixture, see the module docstring
-        d = state.cutoff
-        cos = np.cos(cfg.theta * np.arange(-(d - 1), d))[:, None, None]
+        cos = np.cos(cfg.theta * np.arange(state.cutoff))[:, None, None]
         state = FockTwoModeState(tensor=state.tensor * cos)
-    state = squeeze(state, cfg.g2)
-    return photon_stats(state, SIGNAL)
+    prob = _squeezed_distribution(state, cfg.g2)
+    return _moments(prob.sum(axis=1 - _AXIS[SIGNAL]))
