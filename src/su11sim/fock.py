@@ -38,6 +38,11 @@ distribution straight from the upper triangle of the input block, with one
 batched product (`_apply_squeeze_readout`).  The public `squeeze` still
 returns the whole state.
 
+Up to DEFAULT_CUTOFF the squeeze, the loss and the pipeline's mixed states
+work in buffers that each thread keeps (`_work`), so a warm pipeline point
+allocates no array of a state's size, and its page faults, and so its cost,
+do not depend on the points run before it.
+
 The oracle regime is small gains and seeds; the cutoff auto-doubles when the
 tail of the photon-number distribution becomes populated or probability is
 lost past it.
@@ -50,6 +55,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import math
+import threading
 
 import numpy as np
 from scipy.special import comb
@@ -91,8 +97,10 @@ def vacuum(cutoff: int = DEFAULT_CUTOFF) -> FockTwoModeState:
 class _Sectors(NamedTuple):
     """The n_s - n_i sectors at one cutoff d.
 
-    Sector s (row s + d - 1) holds the m = d - |s| states
-    |a + max(s, 0), a + max(-s, 0)>, a = min(n_s, n_i) < m, zero-padded to d.
+    Sector s holds the m = d - |s| states |a + max(s, 0), a + max(-s, 0)>,
+    a = min(n_s, n_i) < m, zero-padded to d.  Sectors s and -s share their
+    squeeze block, so the sector vectors are stacked (d, 2, d) and the sector
+    blocks (d, 2, d, d), with sector s at [|s|, s < 0]; [0, 1] stays zero.
     """
 
     flat: np.ndarray  # (2d-1, d): flat index n_s d + n_i of state a of sector s
@@ -129,12 +137,13 @@ def _sectors(d: int) -> _Sectors:
     a = np.arange(d)
     valid = a < d - np.abs(s)
     flat = (a + np.maximum(s, 0)) * d + a + np.maximum(-s, 0)
-    pure = (flat[valid], np.flatnonzero(valid))
+    vec = (2 * np.abs(s) + (s < 0)) * d + a  # flat index into the (d, 2, d) stack
+    pure = (flat[valid], vec[valid])
     # <row a| rho |column b> of sector s sits at delta = b - a: the stored
     # half is the upper triangle b >= a of each block
     block = valid[:, :, None] & valid[:, None, :] & (a >= a[:, None])  # (s, a, b)
-    z = (a - a[:, None]) * d * d + flat[:, :, None]
-    mixed = (z[block], np.flatnonzero(block))
+    si, ai, bi = np.nonzero(block)
+    mixed = ((bi - ai) * d * d + flat[si, ai], vec[si, ai] * d + bi)
 
     off = np.arange(d)[:, None]
     sub = np.sqrt((a[1:] * (a[1:] + off)).astype(float)) * (a[1:] < d - off)
@@ -154,19 +163,70 @@ def _loss_binomials(d: int) -> np.ndarray:
     return np.sqrt(comb(n, n[:, None]))
 
 
-def _sector_unitaries(g: float, d: int) -> np.ndarray:
-    """(2d - 1, d, d) real: the squeeze exp(g gen) on each sector, by
-    s + d - 1; the zero padding of a sector maps to itself."""
+class _Work(NamedTuple):
+    """Work arrays of the squeeze, loss and pipeline at one cutoff d."""
+
+    u: np.ndarray  # (d, d, d) real: squeeze blocks, by |s|
+    lmat: np.ndarray  # (d, d, d) real: loss matrices, by delta
+    pair: np.ndarray  # (d, d, d): sector density of a pure state
+    rho: np.ndarray  # (2, d, d, d): the pipeline's mixed states
+    r: np.ndarray  # (d, 2, d, d): sector blocks
+    ur: np.ndarray  # (d, 2, d, d): squeeze blocks times r
+
+
+def _work_layout(d: int, dtype: np.dtype) -> list[tuple[tuple[int, ...], np.dtype]]:
+    """(shape, dtype) of each _Work field at cutoff d for states of dtype."""
+    real, cube, blocks = np.dtype(float), (d, d, d), (d, 2, d, d)
+    return [
+        (cube, real), (cube, real), (cube, dtype), ((2, *cube), dtype),
+        (blocks, dtype), (blocks, dtype),
+    ]
+
+
+_per_thread = threading.local()
+
+
+def _work(d: int, dtype) -> _Work:
+    """Work arrays for cutoff d and state dtype.
+
+    Up to DEFAULT_CUTOFF they are views of buffers that each thread keeps,
+    one per field, so every cutoff reuses the same memory.  Fresh arrays of
+    these sizes would come from the C allocator, which maps pages and hands
+    them back as its earlier frees happen to leave it, so the page faults of
+    a call would depend on the calls before it; the kept buffers fault in
+    once, as far as the largest cutoff reaches.  Nothing the module returns
+    is a view of them.
+    """
+    layout = _work_layout(d, np.dtype(dtype))
+    if d > DEFAULT_CUTOFF:  # a grown cutoff: rare, and large to keep
+        return _Work(*(np.empty(shape, t) for shape, t in layout))
+    views = getattr(_per_thread, "views", None)
+    if views is None:
+        top = _work_layout(DEFAULT_CUTOFF, np.dtype(complex))
+        _per_thread.buffers = [np.empty(math.prod(s) * t.itemsize, np.uint8) for s, t in top]
+        views = _per_thread.views = {}
+    key = (d, np.dtype(dtype))
+    if key not in views:
+        views[key] = _Work(*(
+            buf[: math.prod(shape) * t.itemsize].view(t).reshape(shape)
+            for buf, (shape, t) in zip(_per_thread.buffers, layout)
+        ))
+    return views[key]
+
+
+def _sector_unitaries(g: float, d: int, out: np.ndarray | None = None) -> np.ndarray:
+    """(d, d, d) real: the squeeze exp(g gen) on sectors s and -s, by |s|;
+    the zero padding of a sector maps to itself.  Written into out if given."""
     sec = _sectors(d)
     gsv = g * sec.sv[:, None, :]
     x, y = sec.x, sec.y
     x_t = x.transpose(0, 2, 1)
-    u = np.empty((d, d, d))
+    u = np.empty((d, d, d)) if out is None else out
     u[:, ::2, ::2] = (x * np.cos(gsv)) @ x_t
     u[:, 1::2, 1::2] = (y * np.cos(gsv[..., : d // 2])) @ y.transpose(0, 2, 1)
     u[:, 1::2, ::2] = (y * np.sin(gsv[..., : d // 2])) @ x_t[:, : d // 2]
     u[:, ::2, 1::2] = -u[:, 1::2, ::2].transpose(0, 2, 1)
-    return u[np.abs(np.arange(-(d - 1), d))]
+    return u
 
 
 def _squeeze_blocks(g: float, d: int):
@@ -175,12 +235,16 @@ def _squeeze_blocks(g: float, d: int):
     flat, blocks = _sectors(d).flat, _sector_unitaries(g, d)
     for s in range(-(d - 1), d):
         m = d - abs(s)
-        yield flat[s + d - 1, :m], blocks[s + d - 1, :m, :m]
+        yield flat[s + d - 1, :m], blocks[abs(s), :m, :m]
 
 
-def _regroup(src: np.ndarray, take: np.ndarray, put: np.ndarray, shape) -> np.ndarray:
-    """A zero array of `shape` whose flat entries `put` are src's flat `take`."""
-    out = np.zeros(shape, dtype=src.dtype)
+def _regroup(src: np.ndarray, take: np.ndarray, put: np.ndarray, shape=None, out=None):
+    """out, or a new array of `shape`, zeroed except for its flat entries
+    `put`, which are src's flat `take`."""
+    if out is None:
+        out = np.zeros(shape, dtype=src.dtype)
+    else:
+        out.fill(0)
     out.reshape(-1)[put] = src.reshape(-1)[take]
     return out
 
@@ -188,17 +252,19 @@ def _regroup(src: np.ndarray, take: np.ndarray, put: np.ndarray, shape) -> np.nd
 def _apply_squeeze_unitary(state: FockTwoModeState, g: float) -> FockTwoModeState:
     d = state.cutoff
     sec = _sectors(d)
-    u = _sector_unitaries(g, d)
+    work = _work(d, state.tensor.dtype)
+    u = _sector_unitaries(g, d, out=work.u)
     if state.is_pure:
         amp, vec = sec.pure
-        x = _regroup(state.tensor, amp, vec, (2 * d - 1, d, 1))
-        out = _regroup(u @ x, vec, amp, (d, d))
+        x = _regroup(state.tensor, amp, vec, (d, 2, d))
+        out = _regroup(x @ u.transpose(0, 2, 1), vec, amp, (d, d))
     else:
         dens, blk = sec.mixed
-        r = _regroup(state.tensor, dens, blk, (2 * d - 1, d, d))
+        r = _regroup(state.tensor, dens, blk, out=work.r)
         # the Hermitian block from its upper triangle
-        r += np.triu(r, 1).conj().transpose(0, 2, 1)
-        out = _regroup(u @ r @ u.transpose(0, 2, 1), blk, dens, state.tensor.shape)
+        r += np.triu(r, 1).conj().swapaxes(2, 3)
+        rot = u[:, None] @ r @ u.transpose(0, 2, 1)[:, None]
+        out = _regroup(rot, blk, dens, state.tensor.shape)
     return FockTwoModeState(tensor=out)
 
 
@@ -214,11 +280,15 @@ def _apply_squeeze_readout(state: FockTwoModeState, g: float) -> np.ndarray:
         return _joint_distribution(_apply_squeeze_unitary(state, g))
     d = state.cutoff
     sec = _sectors(d)
-    u = _sector_unitaries(g, d)
+    work = _work(d, state.tensor.dtype)
+    u = _sector_unitaries(g, d, out=work.u)
     dens, blk = sec.mixed
-    r = _regroup(state.tensor, dens, blk, (2 * d - 1, d, d))
-    diag = np.diagonal(r, axis1=1, axis2=2).real[:, :, None]
-    p = 2.0 * ((u @ r) * u).sum(axis=2).real - ((u * u) @ diag)[:, :, 0]
+    r = _regroup(state.tensor, dens, blk, out=work.r)
+    ur = np.matmul(u[:, None], r, out=work.ur)
+    ur *= u[:, None]
+    diag = np.diagonal(r, axis1=2, axis2=3).real[..., None]
+    u *= u
+    p = 2.0 * ur.sum(axis=3).real - (u[:, None] @ diag)[..., 0]
     amp, vec = sec.pure
     return _regroup(p, vec, amp, (d, d))
 
@@ -339,16 +409,18 @@ def phase_shift(
 
 
 def _diagonal_shifts(a: np.ndarray) -> np.ndarray:
-    """(D, D, D) stack of a (D, D) array shifted along its diagonal:
+    """(D, D, D) read-only view of a (D, D) array shifted along its diagonal:
     out[delta, n, m] = a[n + delta, m + delta], zero outside a."""
     d = a.shape[0]
     pad = np.zeros((2 * d - 1, 2 * d - 1), dtype=a.dtype)
     pad[:d, :d] = a
-    k = np.arange(d)
-    return np.lib.stride_tricks.sliding_window_view(pad, (d, d))[k, k]
+    windows = np.lib.stride_tricks.sliding_window_view(pad, (d, d))
+    return np.diagonal(windows).transpose(2, 0, 1)
 
 
-def loss(state: FockTwoModeState, t: float, mode: str) -> FockTwoModeState:
+def loss(
+    state: FockTwoModeState, t: float, mode: str, *, out: np.ndarray | None = None
+) -> FockTwoModeState:
     """Attenuation channel with amplitude transmission t on one mode.
 
     Kraus operator k loses k photons:
@@ -356,23 +428,28 @@ def loss(state: FockTwoModeState, t: float, mode: str) -> FockTwoModeState:
     so on the sector density the lossy mode's index is multiplied by
         L[delta][n, n'] = w(n, n' - n) w(n + delta, n' - n):
     L @ Z for the signal, Z @ L^T for the idler.  A pure state becomes its
-    sector density first.
+    sector density first.  If t < 1 and out is given, the resulting sector
+    density is written into it.
     """
     if not 0.0 <= t <= 1.0:
         raise DomainError(f"transmission must lie in [0, 1], got {t}")
     if t == 1.0:
         return state
     d = state.cutoff
+    work = _work(d, state.tensor.dtype)
     n = np.arange(d)
     k = np.maximum(n - n[:, None], 0)
     # w[m, m + k] = w(m, k), zero below the diagonal
     w = _loss_binomials(d) * t ** n[:, None] * (1.0 - t * t) ** (k / 2)
-    lmat = w * _diagonal_shifts(w)
+    lmat = np.multiply(_diagonal_shifts(w), w, out=work.lmat)
     if state.is_pure:
-        z = state.tensor * _diagonal_shifts(state.tensor).conj()
+        z = np.multiply(_diagonal_shifts(state.tensor.conj()), state.tensor, out=work.pair)
     else:
         z = state.tensor
-    out = lmat @ z if _AXIS[mode] == 0 else z @ lmat.transpose(0, 2, 1)
+    if _AXIS[mode] == 0:
+        out = np.matmul(lmat, z, out=out)
+    else:
+        out = np.matmul(z, lmat.transpose(0, 2, 1), out=out)
     return FockTwoModeState(tensor=out)
 
 
@@ -420,12 +497,14 @@ def pipeline(
     state = vacuum(cutoff)
     state = displace(state, np.sqrt(cfg.n_i), IDLER)
     state = squeeze(state, cfg.g1)
-    state = loss(state, cfg.t_s, SIGNAL)
-    state = loss(state, cfg.t_i, IDLER)
+    # a mixed state from here on lives in work arrays and is scaled in place
+    rho = _work(state.cutoff, state.tensor.dtype).rho
+    state = loss(state, cfg.t_s, SIGNAL, out=rho[0])
+    state = loss(state, cfg.t_i, IDLER, out=rho[1])
     if state.is_pure:
         state = phase_shift(state, cfg.theta, SIGNAL)
     else:  # the real part of the phase: the +-theta mixture, see the module docstring
-        cos = np.cos(cfg.theta * np.arange(state.cutoff))[:, None, None]
-        state = FockTwoModeState(tensor=state.tensor * cos)
+        z = state.tensor
+        z *= np.cos(cfg.theta * np.arange(state.cutoff))[:, None, None]
     prob = _squeezed_distribution(state, cfg.g2)
     return _moments(prob.sum(axis=1 - _AXIS[SIGNAL]))

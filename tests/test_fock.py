@@ -392,6 +392,49 @@ def test_oracle_runs_on_one_thread():
     assert float(out) < 0.010
 
 
+def test_warm_pipeline_allocates_no_state_sized_array():
+    # a fresh array of this size page-faults in as many pages as the C
+    # allocator's earlier frees leave it, so a point's cost would depend on
+    # the points before it; a warm point works in the arrays kept per cutoff
+    import tracemalloc
+
+    d = 32
+    cfg = InterferometerConfig(g1=0.2, g2=0.2, theta=1.0, t_s=0.7, t_i=0.6, n_i=2.0)
+    cold = fock.pipeline(cfg, cutoff=d)
+    tracemalloc.start()
+    try:
+        warm = fock.pipeline(cfg, cutoff=d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert warm == cold
+    assert peak < d**3 * 8  # all its temporaries together: less than one sector density
+
+
+def test_returned_states_share_no_work_array():
+    st = fock.squeeze(fock.displace(fock.vacuum(16), 0.5, fock.IDLER), 0.2)
+    lossy = fock.loss(st, 0.7, fock.SIGNAL)
+    squeezed = fock.squeeze(lossy, 0.3)
+    kept = lossy.tensor.copy(), squeezed.tensor.copy()
+    fock.squeeze(fock.loss(fock.loss(st, 0.4, fock.IDLER), 0.5, fock.SIGNAL), 0.6)
+    fock.pipeline(InterferometerConfig(g1=0.2, g2=0.3, theta=0.4, t_s=0.6, t_i=0.5), 16)
+    assert np.array_equal(lossy.tensor, kept[0])
+    assert np.array_equal(squeezed.tensor, kept[1])
+
+
+def test_pipeline_in_threads_matches_serial():
+    from concurrent.futures import ThreadPoolExecutor
+
+    cfgs = [
+        InterferometerConfig(g1=0.1 + 0.02 * k, g2=0.2, theta=0.3 * k, t_s=0.7, t_i=0.6, n_i=1.0)
+        for k in range(8)
+    ]
+    serial = [fock.pipeline(cfg, cutoff=24) for cfg in cfgs]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        threaded = list(pool.map(lambda cfg: fock.pipeline(cfg, cutoff=24), cfgs))
+    assert threaded == serial
+
+
 @pytest.mark.parametrize("mode", [fock.SIGNAL, fock.IDLER])
 def test_seed_is_the_exact_coherent_state(mode):
     from scipy.linalg import expm
