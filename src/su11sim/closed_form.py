@@ -9,6 +9,7 @@ independent of the Gaussian engine so the two can cross-validate each other.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .config import InterferometerConfig
@@ -102,13 +103,27 @@ def visibility_signal_loss(t_s: float) -> float:
     return 2.0 * t_s / (t_s**2 + 1.0)
 
 
+def _balanced_cosh2(g: float, n_i: float) -> float:
+    """cosh^2 g of a balanced gain g >= 0 with seed n_i >= 0, where every
+    product of the visibility, at most 2 (n_i + 1) cosh^2 g, is finite."""
+    if not g >= 0:
+        raise DomainError(f"gain must be >= 0, got {g}")
+    if not n_i >= 0:
+        raise DomainError(f"n_i must be >= 0, got {n_i}")
+    try:
+        ch2 = math.cosh(g) ** 2
+    except OverflowError:
+        ch2 = math.inf
+    if 2.0 * (n_i + 1.0) * ch2 == math.inf:
+        raise DomainError(f"gain g={g} with n_i={n_i} overflows float64 in the closed form")
+    return ch2
+
+
 def visibility_idler_loss(t_i: float, g: float, n_i: float) -> float:
     """Visibility with loss only on the idler, balanced gains g."""
     if not 0.0 <= t_i <= 1.0:
         raise DomainError(f"t_i must lie in [0, 1], got {t_i}")
-    if g < 0:
-        raise DomainError(f"gain must be >= 0, got {g}")
-    ch2 = math.cosh(g) ** 2
+    ch2 = _balanced_cosh2(g, n_i)
     return (
         2.0 * (n_i + 1.0) * t_i * ch2
         / ((n_i + 1.0) * (t_i**2 + 1.0) * ch2 + 1.0 - t_i**2)
@@ -119,9 +134,7 @@ def visibility_symmetric_loss(t: float, g: float, n_i: float) -> float:
     """Visibility with equal loss t on both modes, balanced gains g."""
     if not 0.0 <= t <= 1.0:
         raise DomainError(f"t must lie in [0, 1], got {t}")
-    if g < 0:
-        raise DomainError(f"gain must be >= 0, got {g}")
-    ch2 = math.cosh(g) ** 2
+    ch2 = _balanced_cosh2(g, n_i)
     return (
         2.0 * (n_i + 1.0) * t**2 * ch2
         / (2.0 * (n_i + 1.0) * t**2 * ch2 + 1.0 - t**2)
@@ -131,15 +144,20 @@ def visibility_symmetric_loss(t: float, g: float, n_i: float) -> float:
 def ideal_sensitivity(g: float, n_i: float) -> float:
     """Optimal phase variance of the lossless, balanced, idler-seeded interferometer.
 
-    Returns 1 / ((1 + n_i) sinh^2(2g)); asserts the equivalent form
-    1 / (4 (1 + n_i) (N^2 + N)) with N = sinh^2(g).
+    Returns 1 / ((1 + n_i) sinh^2(2g)), checked against the equivalent form
+    1 / (4 (1 + n_i) (N^2 + N)) with N = sinh^2(g); where float64 cannot
+    hold both forms as normal numbers that agree, the answer is a DomainError.
     """
-    if g <= 0.0:
-        raise DomainError(f"gain must be > 0 for a finite sensitivity, got {g}")
-    if n_i < 0:
-        raise DomainError(f"n_i must be >= 0, got {n_i}")
-    val = 1.0 / ((1.0 + n_i) * math.sinh(2 * g) ** 2)
-    n_sq = math.sinh(g) ** 2
-    alt = 1.0 / (4.0 * (1.0 + n_i) * (n_sq**2 + n_sq))
-    assert abs(val - alt) <= 1e-12 * abs(val)
+    if not 0.0 < g < math.inf:
+        raise DomainError(f"gain must be finite and > 0 for a finite sensitivity, got {g}")
+    if not 0.0 <= n_i < math.inf:
+        raise DomainError(f"n_i must be finite and >= 0, got {n_i}")
+    try:
+        val = 1.0 / ((1.0 + n_i) * math.sinh(2 * g) ** 2)
+        n_sq = math.sinh(g) ** 2
+        alt = 1.0 / (4.0 * (1.0 + n_i) * (n_sq**2 + n_sq))
+    except (OverflowError, ZeroDivisionError):
+        val = alt = math.nan
+    if not sys.float_info.min <= val < math.inf or abs(val - alt) > 1e-12 * val:
+        raise DomainError(f"ideal sensitivity at g={g}, n_i={n_i} lies outside float64")
     return val

@@ -594,6 +594,8 @@ def _validate_point(
 
 def validate(seed: int, points: int) -> ValidationReport:
     """Run the closed-form / Gaussian / Fock agreement suite on a seeded grid."""
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     if not 0 <= points <= 10**4:
         raise DomainError(f"points must lie in [0, 1e4], got {points}")
     cfgs = random_oracle_configs(seed, points)

@@ -184,3 +184,24 @@ class TestIdealSensitivity:
     def test_zero_gain_raises(self):
         with pytest.raises(DomainError):
             cf.ideal_sensitivity(0.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "helper, args",
+    [
+        (cf.ideal_sensitivity, (400.0, 0.0)),
+        (cf.ideal_sensitivity, (1e-200, 0.0)),
+        (cf.ideal_sensitivity, (0.1, math.nan)),
+        (cf.ideal_sensitivity, (math.inf, 0.0)),
+        (cf.ideal_sensitivity, (math.nan, 0.0)),
+        (cf.visibility_idler_loss, (0.5, 400.0, 0.0)),
+        (cf.visibility_idler_loss, (0.5, math.inf, 0.0)),
+        (cf.visibility_idler_loss, (0.5, 350.0, 1e10)),
+        (cf.visibility_symmetric_loss, (0.5, 400.0, 0.0)),
+        (cf.visibility_symmetric_loss, (0.5, math.nan, 0.0)),
+        (cf.visibility_symmetric_loss, (0.5, 0.1, math.nan)),
+    ],
+)
+def test_helpers_outside_float64_raise_domain_error(helper, args):
+    with pytest.raises(DomainError):
+        helper(*args)

@@ -392,25 +392,6 @@ def test_oracle_runs_on_one_thread():
     assert float(out) < 0.010
 
 
-def test_warm_pipeline_allocates_no_state_sized_array():
-    # a fresh array of this size page-faults in as many pages as the C
-    # allocator's earlier frees leave it, so a point's cost would depend on
-    # the points before it; a warm point works in the arrays kept per cutoff
-    import tracemalloc
-
-    d = 32
-    cfg = InterferometerConfig(g1=0.2, g2=0.2, theta=1.0, t_s=0.7, t_i=0.6, n_i=2.0)
-    cold = fock.pipeline(cfg, cutoff=d)
-    tracemalloc.start()
-    try:
-        warm = fock.pipeline(cfg, cutoff=d)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert warm == cold
-    assert peak < d**3 * 8  # all its temporaries together: less than one sector density
-
-
 def test_returned_states_share_no_work_array():
     st = fock.squeeze(fock.displace(fock.vacuum(16), 0.5, fock.IDLER), 0.2)
     lossy = fock.loss(st, 0.7, fock.SIGNAL)

@@ -466,6 +466,33 @@ class TestValidateHarness:
         with pytest.raises(DomainError):
             sweep.validate(seed=1, points=10**4 + 1)
 
+    def test_negative_seed(self, capsys):
+        with pytest.raises(DomainError):
+            sweep.validate(seed=-1, points=2)
+        assert cli.main(["validate", "--seed", "-1", "--points", "2"]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("su11: error:") and "Traceback" not in err
+
+    def test_checks_are_the_benchmark_oracle_tolerances(self):
+        # bench/workloads.py's check_oracle fails a round whose validate
+        # reports any other set of checks, so a new check needs a benchmark
+        # change first
+        import ast
+
+        workloads = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+        bench = next(
+            ast.literal_eval(node.value)
+            for node in ast.parse(workloads.read_text()).body
+            if isinstance(node, ast.Assign)
+            and any(getattr(t, "id", None) == "ORACLE_TOLERANCES" for t in node.targets)
+        )
+        checks = {name: rtol for name, (rtol, _) in sweep.CHECKS.items()}
+        assert checks == bench, (
+            "sweep.CHECKS differs from ORACLE_TOLERANCES in bench/workloads.py; "
+            "the oracle-validate benchmark would reject every round, so change "
+            "the benchmark to accept the new checks first"
+        )
+
     def test_seeded_grid_is_reproducible(self):
         assert sweep.random_oracle_configs(3, 4) == sweep.random_oracle_configs(3, 4)
 
