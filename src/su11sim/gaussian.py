@@ -1,20 +1,31 @@
 """Gaussian-state engine for the two-mode (signal, idler) field.
 
-States are tracked by a 4x4 quadrature covariance matrix and a length-4
-displacement vector, ordering (x_s, p_s, x_i, p_i), with x = (a + a^dag)/sqrt(2)
+States are tracked by a 4x4 quadrature covariance matrix V and a length-4
+displacement d, ordering (x_s, p_s, x_i, p_i), with x = (a + a^dag)/sqrt(2)
 and vacuum covariance = I/2.  All maps are Gaussian channels, so the full
 interferometer pipeline stays exact at any gain, loss or seed strength.
 
-A state may be a stack: covariances (..., 4, 4) and displacements (..., 4)
-over leading batch axes, one entry per configuration (and per phase).  Each
-element takes its parameter as a scalar or as an array that broadcasts over
-those axes, and applies it by the same matrix products whatever the batch, so
-N configurations cost a few array operations; a single state is the stack
-with no batch axes.  signal_moments is the batched propagation the phase
-response reads: one prefix pass over N configs and one tail pass over N
-configs x P phases, giving (mean, variance) arrays that metrics reads as
-columns.  Float64 overflow raises no numpy warning from it, from
-run_interferometer or from photon_moments: it shows as non-finite photon
+A state is held as one array of entries, index first, over batch axes (one
+entry per configuration, and per phase): each row is a (mode, quadrature)
+pair, and the columns are V's four, as (mode, quadrature) pairs, then d as a
+fifth.  A linear map L takes (V | d) to (L V L^T | L d): its rows act on V
+and d alike, then its columns act on V alone.  So every element is a few
+whole-array operations on rows of entries.  The squeezer mixes the rows of
+the two modes (0 with 2, 1 with 3), then the same columns; the phase mixes
+the two rows of one mode (0 with 1 for the signal), then the same columns;
+the loss scales entries.  An element takes its parameter as a scalar or as
+an array that broadcasts over the batch axes, and computes one state and a
+stack of them by the same expressions, element by element.  No element makes
+a matrix product, and cosh and sinh come from libm, so the results do not
+depend on the CPU's BLAS kernel or SIMD extensions.
+
+signal_moments is the batched propagation the phase response reads: one
+prefix pass over N configs and one tail pass over N configs x P phases,
+whose second OPA forms only the signal rows and columns that the moments
+read, giving (mean, variance) arrays that metrics reads as columns.
+run_interferometer and photon_stats are the same expressions on the whole
+state.  Float64 overflow raises no numpy warning from signal_moments,
+run_interferometer or photon_moments: it shows as non-finite photon
 statistics.  metrics turns those into per-row errors by a mask, checked_stats
 into a DomainError for one state; overflow_error is the error of both.
 """
@@ -32,18 +43,30 @@ from .errors import DomainError
 SIGNAL = "signal"
 IDLER = "idler"
 
-# index of each mode's x quadrature; p follows it
-_MODE_START = {SIGNAL: 0, IDLER: 2}
+_MODE = {SIGNAL: 0, IDLER: 1}
+# the diagonal of V, entries [m, q, m, q], as a (mode, quadrature) array
+_DIAGONAL = (np.array([[0, 0], [1, 1]]), np.array([[0, 1], [0, 1]])) * 2
+# the modes a squeezer forms, and the other mode of each: both, or the signal
+_BOTH_MODES, _SIGNAL_MODE = (slice(0, 2), slice(1, None, -1)), (slice(0, 1), slice(1, 2))
 
 
 @dataclass(frozen=True)
 class GaussianTwoModeState:
-    """Covariance matrices (..., 4, 4) and displacement vectors (..., 4) of the
-    two-mode field, over leading batch axes that broadcast against each other
-    (a seeded vacuum keeps one covariance for all of its displacements)."""
+    """The two-mode field as entries (2, 2, 3, 2, ...): entries[m, q, m', q']
+    is V's entry of rows (m, q) and (m', q') for m' < 2, and entries[m, q, 2, 0]
+    is d's entry (m, q) (entries[..., 2, 1] is unused), over the batch axes.
+    cov (..., 4, 4) and disp (..., 4) are the same numbers batch first."""
 
-    cov: np.ndarray
-    disp: np.ndarray
+    entries: np.ndarray
+
+    @property
+    def cov(self) -> np.ndarray:
+        v = self.entries[:, :, :2]
+        return np.moveaxis(v.reshape(4, 4, *v.shape[4:]), (0, 1), (-2, -1))
+
+    @property
+    def disp(self) -> np.ndarray:
+        return np.moveaxis(self.entries[:, :, 2, 0].reshape(4, *self.entries.shape[4:]), 0, -1)
 
 
 @dataclass(frozen=True)
@@ -54,45 +77,51 @@ class PhotonStats:
     variance: float
 
 
-def _make_state(cov: np.ndarray, disp: np.ndarray) -> GaussianTwoModeState:
-    """Freeze freshly computed arrays into a state; the batch axes of cov and
-    disp broadcast against each other."""
-    # symmetrize to kill floating-point drift accumulated over long pipelines
-    cov = cov + cov.swapaxes(-1, -2)
-    cov *= 0.5
-    cov.flags.writeable = False
-    disp.flags.writeable = False
-    return GaussianTwoModeState(cov=cov, disp=disp)
+def _state(entries: np.ndarray) -> GaussianTwoModeState:
+    """Freeze freshly computed entries into a state."""
+    entries.flags.writeable = False
+    return GaussianTwoModeState(entries)
 
 
-def _transform(state: GaussianTwoModeState, m: np.ndarray) -> GaussianTwoModeState:
-    """V -> M V M^T, d -> M d for a stack of matrices M (..., 4, 4)."""
-    cov = m @ state.cov @ m.swapaxes(-1, -2)
-    return _make_state(cov, (m @ state.disp[..., None])[..., 0])
+def _lift(a: np.ndarray, lead: int, ndim: int) -> np.ndarray:
+    """a with unit batch axes inserted after its lead entry axes, up to ndim
+    batch axes, so that it broadcasts against arrays of ndim batch axes."""
+    return a.reshape(a.shape[:lead] + (1,) * (ndim + lead - a.ndim) + a.shape[lead:])
 
 
-# Entries of a row-major 4x4 matrix as slices of its 16 flat entries: the two
-# diagonal entries of mode k's 2x2 block (k = 0 signal, 2 idler), and the
-# off-diagonal pairs (0, 2), (2, 0) and (1, 3), (3, 1) that couple the modes.
-def _block_diagonal(k: int) -> slice:
-    return slice(5 * k, 5 * k + 6, 5)
+def _lifted(state: GaussianTwoModeState, param: np.ndarray):
+    """The state's entries and their number of batch axes, at least the
+    parameter's."""
+    ndim = max(state.entries.ndim - 4, param.ndim)
+    return _lift(state.entries, 4, ndim), ndim
 
 
-_DIAGONAL = slice(0, 16, 5)
-_X_COUPLING = slice(2, 9, 6)
-_P_COUPLING = slice(7, 14, 6)
+def _libm(f, x: float) -> float:
+    """f(x) for f = math.cosh or math.sinh, inf of its sign past float64."""
+    try:
+        return f(x)
+    except OverflowError:
+        return math.copysign(math.inf, x) if f is math.sinh else math.inf
 
 
-def _matrix_stack(shape: tuple[int, ...], entries) -> np.ndarray:
-    """A stack of 4x4 matrices over shape, zero but for the given (flat slice,
-    value) entries; each value is a scalar or an array of that shape."""
-    m = np.zeros((*shape, 16))
-    for flat, value in entries:
-        m[..., flat] = np.asarray(value)[..., None]
-    return m.reshape(*shape, 4, 4)
+def _cosh_sinh(g) -> np.ndarray:
+    """cosh g, sinh g and -sinh g, shape (3, *g.shape), from libm element by element
+    as the math module takes them: numpy's SIMD cosh and sinh differ from
+    libm in the last bit for some inputs on some CPUs.  Gains that are all
+    equal (a sweep along another axis) are taken once."""
+    g = np.asarray(g, dtype=float)
+    xs = g.ravel().tolist()
+    if not all(map(math.isfinite, xs)):
+        raise DomainError(f"gain must be finite, got {g}")
+    xs = xs[:1] if xs == xs[:1] * len(xs) else xs
+    ch, sh = ([_libm(f, x) for x in xs] for f in (math.cosh, math.sinh))
+    values = np.empty((3, g.size))
+    values[:] = [ch, sh, [-x for x in sh]]
+    return values.reshape(3, *g.shape)
 
 
-_VACUUM = _make_state(0.5 * np.eye(4), np.zeros(4))
+# V = I/2 and d = 0: the 4x4 identity, padded with two zero columns, halved
+_VACUUM = _state(0.5 * np.eye(4, 6).reshape(2, 2, 3, 2))
 
 
 def vacuum_state() -> GaussianTwoModeState:
@@ -103,46 +132,46 @@ def vacuum_state() -> GaussianTwoModeState:
 def seed_idler(state: GaussianTwoModeState, n_i) -> GaussianTwoModeState:
     """Displace the idler to a real coherent amplitude with mean photon number n_i."""
     n_i = np.asarray(n_i, dtype=float)
-    if (n_i < 0).any():
-        raise DomainError(f"seed photon number must be >= 0, got {n_i}")
-    shift = np.zeros((*n_i.shape, 4))
-    shift[..., 2] = np.sqrt(2.0 * n_i)
-    disp = state.disp + shift
-    disp.flags.writeable = False
-    return GaussianTwoModeState(cov=state.cov, disp=disp)  # cov is unchanged
+    if not ((0.0 <= n_i) & (n_i < math.inf)).all():
+        raise DomainError(f"seed photon number n_i must be finite and >= 0, got {n_i}")
+    e = _lifted(state, n_i)[0] + np.zeros(n_i.shape)  # the entries, one copy per seed
+    e[1, 0, 2, 0] += np.sqrt(2.0 * n_i)  # the covariance is unchanged
+    return _state(e)
 
 
-def squeezer_matrix(g) -> np.ndarray:
-    """Symplectic matrix of the two-mode squeezer at squeezing phase zero,
-    stacked over the shape of g."""
-    g = np.asarray(g, dtype=float)
-    s = np.sinh(g)
-    entries = ((_DIAGONAL, np.cosh(g)), (_X_COUPLING, s), (_P_COUPLING, -s))
-    return _matrix_stack(g.shape, entries)
+def _squeeze(state: GaussianTwoModeState, g, modes) -> np.ndarray:
+    """The entries of the modes (own, other) of _BOTH_MODES or _SIGNAL_MODE
+    after the two-mode squeezer g: the whole state, or the signal's rows, of
+    which only the signal columns and d are formed.  Rows first, then
+    columns: x_s mixes with x_i and p_s with -p_i, as a_s -> cosh g a_s +
+    sinh g a_i^dag."""
+    values, (own, other) = _cosh_sinh(g), modes
+    e, ndim = _lifted(state, values[0])
+    ch, k = values[0], _lift(values[1:], 1, ndim)  # k: sinh g times the signs of x, p
+    e = ch * e[own] + k[:, None, None] * e[other]
+    e[:, :, own] = ch * e[:, :, own] + k * e[:, :, other]
+    return e
 
 
 def apply_squeezer(state: GaussianTwoModeState, g) -> GaussianTwoModeState:
     """Two-mode squeezer (OPA), a_s -> cosh(g) a_s + sinh(g) a_i^dag and s<->i."""
-    if not np.isfinite(g).all():
-        raise DomainError(f"gain must be finite, got {g}")
-    return _transform(state, squeezer_matrix(g))
+    return _state(_squeeze(state, g, _BOTH_MODES))
 
 
-def apply_phase(
-    state: GaussianTwoModeState, theta, mode: str = SIGNAL
-) -> GaussianTwoModeState:
-    """Rotate one mode's quadratures by theta (phase shift e^{i theta n})."""
+def apply_phase(state: GaussianTwoModeState, theta, mode: str = SIGNAL) -> GaussianTwoModeState:
+    """Rotate one mode's quadratures by theta (phase shift e^{i theta n}):
+    x -> cos x + sin p and p -> cos p - sin x, on its rows, then its columns."""
     theta = np.asarray(theta, dtype=float)
-    s = np.sin(theta)
-    k = _MODE_START[mode]
-    # entries (k, k + 1) and (k + 1, k) are flat entries 5k + 1 and 5k + 4
-    r = _matrix_stack(theta.shape, (
-        (_block_diagonal(k), np.cos(theta)),
-        (slice(5 * k + 1, 5 * k + 2), s),
-        (slice(5 * k + 4, 5 * k + 5), -s),
-        (_block_diagonal(2 - k), 1.0),
-    ))
-    return _transform(state, r)
+    if not np.isfinite(theta).all():
+        raise DomainError(f"phase theta must be finite, got {theta}")
+    e, ndim = _lifted(state, theta)
+    m, c = _MODE[mode], np.cos(theta)
+    s = _lift(np.multiply.outer((1.0, -1.0), np.sin(theta)), 1, ndim)
+    rows = c * e[m] + s[:, None, None] * e[m, ::-1]
+    out = np.empty((2, *rows.shape))
+    out[m], out[1 - m] = rows, e[1 - m]
+    out[:, :, m] = c * out[:, :, m] + s * out[:, :, m, ::-1]
+    return _state(out)
 
 
 def apply_loss(state: GaussianTwoModeState, t_s, t_i) -> GaussianTwoModeState:
@@ -151,19 +180,19 @@ def apply_loss(state: GaussianTwoModeState, t_s, t_i) -> GaussianTwoModeState:
     Per mode: V -> t^2 V + (1 - t^2) I/2, d -> t d; the cross-mode covariance
     block is scaled by t_s * t_i.
     """
-    t_s, t_i = np.asarray(t_s, dtype=float), np.asarray(t_i, dtype=float)
-    for name, t in (("t_s", t_s), ("t_i", t_i)):
-        if not ((0.0 <= t) & (t <= 1.0)).all():
-            raise DomainError(f"{name} must lie in [0, 1], got {t}")
-    shape = np.broadcast(t_s, t_i).shape
-    scale = _matrix_stack(shape, ((_block_diagonal(0), t_s), (_block_diagonal(2), t_i)))
-    t = scale.reshape(*shape, 16)[..., _DIAGONAL]
-    cov = scale @ state.cov @ scale
+    t = np.empty((3, *np.broadcast(t_s, t_i).shape))
+    t[0], t[1], t[2] = t_s, t_i, 1.0
+    if not ((0.0 <= t) & (t <= 1.0)).all():
+        name, x = ("t_s", t[0]) if not ((0.0 <= t[0]) & (t[0] <= 1.0)).all() else ("t_i", t[1])
+        raise DomainError(f"{name} must lie in [0, 1], got {x}")
+    e, ndim = _lifted(state, t[0])
+    t = _lift(t, 1, ndim)
+    # entries[m, q, m', q'] -> t_m entries t_m', rows first; d's column has t = 1
+    e = t[:2, None, None, None] * e * t[:, None]
     # the vacuum noise (1 - t^2)/2 on the diagonal, with t^2 by libm pow as
     # float ** 2 takes it: t * t differs in the last bit for about 1 t in 1000
-    noise = 0.5 * (1 - np.float_power(t, 2.0))
-    cov.reshape(*cov.shape[:-2], 16)[..., _DIAGONAL] += noise
-    return _make_state(cov, (scale @ state.disp[..., None])[..., 0])
+    e[_DIAGONAL] += 0.5 * (1 - np.float_power(t[:2, None], 2.0))
+    return _state(e)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -171,16 +200,22 @@ def photon_moments(state: GaussianTwoModeState, mode: str = SIGNAL):
     """Photon-number mean and variance of one mode, arrays over the batch axes.
 
     Never raises: an entry where float64 overflowed is inf or nan, to be
-    reported as overflow_error.  For reduced covariance V and displacement d:
+    reported as overflow_error."""
+    m = _MODE[mode]
+    return _moments(state.entries[m, :, m], state.entries[m, :, 2, 0])
+
+
+def _moments(v: np.ndarray, d: np.ndarray):
+    """Photon-number mean and variance from one mode's covariance entries
+    v (2, 2, ...) and displacement entries d (2, ...) of the same batch axes:
         mean = (tr V - 1)/2 + |d|^2 / 2
         var  = tr(V^2)/2 + d^T V d - 1/4
     """
-    k = _MODE_START[mode]
-    v = state.cov[..., k:k + 2, k:k + 2]
-    row, col = state.disp[..., None, k:k + 2], state.disp[..., k:k + 2, None]
-    vv = v @ v
-    mean = 0.5 * (v[..., 0, 0] + v[..., 1, 1] - 1.0) + 0.5 * (row @ col)[..., 0, 0]
-    var = 0.5 * (vv[..., 0, 0] + vv[..., 1, 1]) + (row @ v @ col)[..., 0, 0] - 0.25
+    squares, row = v * v.swapaxes(0, 1), d[0] * v[0] + d[1] * v[1]
+    dd, dvd = d * d, row * d
+    mean = 0.5 * ((v[0, 0] + v[1, 1] - 1.0) + (dd[0] + dd[1]))
+    var = (0.5 * ((squares[0, 0] + squares[0, 1]) + (squares[1, 0] + squares[1, 1]))
+           + (dvd[0] + dvd[1]) - 0.25)
     return mean, var
 
 
@@ -213,18 +248,11 @@ def state_after_first_opa(cfg: InterferometerConfig) -> GaussianTwoModeState:
     return apply_squeezer(seed_idler(vacuum_state(), cfg.n_i), cfg.g1)
 
 
-def phase_then_second_opa(
-    state: GaussianTwoModeState, theta, g2
-) -> GaussianTwoModeState:
-    """The pipeline tail: signal phase theta, then the second OPA of gain g2."""
-    return apply_squeezer(apply_phase(state, theta, SIGNAL), g2)
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def run_interferometer(cfg: InterferometerConfig) -> GaussianTwoModeState:
     """Propagate vacuum through seed -> OPA1 -> loss -> phase -> OPA2."""
     before_phase = apply_loss(state_after_first_opa(cfg), cfg.t_s, cfg.t_i)
-    return phase_then_second_opa(before_phase, cfg.theta, cfg.g2)
+    return apply_squeezer(apply_phase(before_phase, cfg.theta, SIGNAL), cfg.g2)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -235,24 +263,20 @@ def signal_moments(cfgs: ConfigStack, thetas) -> tuple[np.ndarray, np.ndarray]:
 
     One prefix pass over the N configs, one tail pass over the P x N
     (config, phase) pairs and one moments pass; never raises for a point
-    whose statistics overflow (see photon_moments)."""
+    whose statistics overflow (see photon_moments).  Each number is the one
+    photon_moments gives for run_interferometer's state, bit for bit."""
     cfgs = ConfigStack(*(a[None] for a in cfgs))  # the prefix is one phase row
     after_opa1 = state_after_first_opa(cfgs)
     before_phase = apply_loss(after_opa1, cfgs.t_s, cfgs.t_i)
-    tails = phase_then_second_opa(before_phase, thetas, cfgs.g2)
-    states = (tails, after_opa1, before_phase)
-    return photon_moments(GaussianTwoModeState(
-        cov=np.concatenate([s.cov for s in states]),
-        disp=np.concatenate([s.disp for s in states]),
-    ))
+    # OPA2 forms only the signal rows, and of those the signal columns and d
+    tails = _squeeze(apply_phase(before_phase, thetas, SIGNAL), cfgs.g2, _SIGNAL_MODE)
+    signal = np.concatenate([tails[0], *(s.entries[0] for s in (after_opa1, before_phase))], 3)
+    return _moments(signal[:, 0], signal[:, 2, 0])
 
 
 def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
     """Symplectic spectrum of a covariance matrix; physical states have all >= 1/2."""
-    omega = np.zeros((4, 4))
-    for k in (0, 2):
-        omega[k, k + 1] = 1.0
-        omega[k + 1, k] = -1.0
+    omega = np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]])
     # eigenvalues of i*Omega*V come in +/- nu pairs with nu real
     eig = np.linalg.eigvals(1j * omega @ cov)
     return np.sort(np.abs(eig.real))[::2]

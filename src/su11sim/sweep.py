@@ -36,11 +36,15 @@ from .metrics import ShotNoiseConvention
 AXES = ("t_s2", "t_i2", "t_both2", "theta", "n_i", "G1", "G2")
 METRICS = ("mean", "visibility", "dtheta2", "db_vs_shotnoise")
 MAX_STEPS = 10**6
-# grid points per batched propagation.  From about 64 points up, a block's
-# fixed numpy overhead is small against its per-point work; at 128 its stacks
-# and per-point objects stay under 1 MB, so a sweep peaks no higher than one
-# evaluated point by point.  A MAX_STEPS sweep in one stack would take 640 MB.
-BLOCK_POINTS = 128
+# grid points per batched propagation.  A block costs a fixed numpy overhead
+# per element call plus its per-point work: a 10^4-point sweep of the
+# benchmark's device took 25 / 19 / 16 / 21 ms of CPU in run_sweep at blocks
+# of 128 / 256 / 512 / 1024 points (medians of 5, 2-vCPU host).  At 512 each
+# array of the phase tails holds 512 x 4 (config, phase) pairs of 24 entries,
+# 0.4 MB; at 1024 such arrays page-fault on every block (5500 minor faults a
+# sweep, against 170 at 512).  A MAX_STEPS sweep in one stack would take
+# 770 MB per array.
+BLOCK_POINTS = 512
 
 
 @dataclass(frozen=True)

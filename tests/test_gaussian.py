@@ -266,3 +266,39 @@ def test_overflowing_point_does_not_stop_its_batch():
     assert mean[0, 1] == pytest.approx(math.sinh(0.2) ** 2, rel=1e-12)
     with pytest.raises(DomainError, match="photon statistics overflow float64"):
         g.checked_stats(float(mean[0, 0]), float(var[0, 0]))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("element, name", [
+    (lambda x: g.seed_idler(g.vacuum_state(), x), "n_i"),
+    (lambda x: g.apply_squeezer(g.vacuum_state(), x), "gain"),
+    (lambda x: g.apply_phase(g.vacuum_state(), x), "theta"),
+    (lambda x: g.apply_phase(g.vacuum_state(), x, g.IDLER), "theta"),
+    (lambda x: g.apply_loss(g.vacuum_state(), x, 1.0), "t_s"),
+    (lambda x: g.apply_loss(g.vacuum_state(), 1.0, x), "t_i"),
+])
+def test_non_finite_element_parameter_is_domain_error(element, name, value):
+    # a nan or inf parameter is named, not carried into photon statistics
+    # that read as a float64 overflow
+    for x in (value, np.array([0.5, value])):
+        with pytest.raises(DomainError, match=name):
+            element(x)
+
+
+def test_elements_make_no_blas_call():
+    # the same bytes on every CPU: outside the test-only diagnostic
+    # symplectic_eigenvalues, no matrix product and no numpy.linalg call,
+    # whose results follow the BLAS kernel the CPU picks
+    import ast
+    from pathlib import Path
+
+    tree = ast.parse(Path(g.__file__).read_text())
+    nodes = [node for top in tree.body
+             if not (isinstance(top, ast.FunctionDef) and top.name == "symplectic_eigenvalues")
+             for node in ast.walk(top)]
+    products = {"matmul", "dot", "vdot", "inner", "tensordot", "einsum", "linalg"}
+    assert not [node for node in nodes
+                if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)]
+    assert not [node.attr for node in nodes
+                if isinstance(node, ast.Attribute) and node.attr in products]
+    assert not [node.id for node in nodes if isinstance(node, ast.Name) and node.id in products]

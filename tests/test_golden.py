@@ -10,6 +10,10 @@ The files under tests/data/golden are written by this module.  Regenerate
 them, only when an output change is intended, with
 
     PYTHONPATH=src python tests/test_golden.py
+
+The same bytes must come out on every CPU: test_outputs_do_not_depend_on_the_cpu
+regenerates them under another BLAS kernel and without numpy's wider SIMD
+loops.  tests/test_golden_accuracy.py holds every number to its exact value.
 """
 
 from __future__ import annotations
@@ -17,10 +21,13 @@ from __future__ import annotations
 import contextlib
 import io
 import os
+import subprocess
 import sys
 from pathlib import Path
 
-from su11sim import cli
+import pytest
+
+from su11sim import cli, sweep
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 
@@ -72,9 +79,10 @@ SWEEPS = {
                                "--ts2", "1e-30"],
     "huge_seed": ["--axis", "n_i", "--lo", "1e150", "--hi", "1e300", "--steps", "6",
                   "--g1", "0.1", "--g2", "0.1"],
-    # the benchmark's device over three sweep blocks, so rows cross block edges
+    # the benchmark's device over three sweep blocks, 2 * BLOCK_POINTS + 44
+    # steps, so rows cross two block edges
     "block_edges": ["--metrics", "mean,visibility", "--axis", "t_s2", "--lo", "0.01",
-                    "--hi", "1", "--steps", "300", "--g1", "0.45", "--g2", "0.2",
+                    "--hi", "1", "--steps", "1068", "--g1", "0.45", "--g2", "0.2",
                     "--n_i", "10000", "--base_ts2", "0.52", "--base_ti2", "0.42"],
 }
 
@@ -155,6 +163,51 @@ def test_outputs_match_golden_bytes(tmp_path):
                if (tmp_path / name).read_bytes() != (GOLDEN / name).read_bytes()}
     assert not changed, "outputs differ from tests/data/golden:\n" + "\n".join(
         f"{name}: {where}" for name, where in changed.items())
+
+
+def test_block_edges_spans_three_blocks():
+    steps = int(SWEEPS["block_edges"][SWEEPS["block_edges"].index("--steps") + 1])
+    assert 2 * sweep.BLOCK_POINTS < steps <= 3 * sweep.BLOCK_POINTS
+
+
+def _cpu_features() -> tuple[dict[str, bool], list[str]]:
+    """numpy's CPU features of this host, and the targets it dispatches to."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    return umath.__cpu_features__, list(getattr(umath, "__cpu_dispatch__", []))
+
+
+# validate_small.txt is left out: its worst Fock deviations are rounding noise
+# of the Fock oracle's BLAS and LAPACK calls (1e-15 to 1e-14), which differ
+# between kernels.  The oracle is the heavy compute and keeps its BLAS.
+CPU_EXEMPT = {"validate_small.txt"}
+
+
+@pytest.mark.parametrize("core", ["Haswell", "Prescott"])
+def test_outputs_do_not_depend_on_the_cpu(tmp_path, core):
+    """The golden bytes come out again in a child process that runs another
+    OpenBLAS kernel with numpy's dispatched SIMD loops switched off, as on an
+    older CPU: the Gaussian engine makes no BLAS call and takes cosh and sinh
+    from libm.  OPENBLAS_CORETYPE picks an x86 kernel (Haswell needs AVX2;
+    Prescott runs on every x86-64) and means nothing off x86, where OpenBLAS
+    ignores it.  NPY_DISABLE_CPU_FEATURES names only the dispatch targets this
+    host has, so a host without AVX-512 runs the test unchanged."""
+    features, targets = _cpu_features()
+    if core == "Haswell" and features.get("AVX2") is False:
+        pytest.skip("the Haswell kernel needs AVX2")
+    env = {**os.environ, "OPENBLAS_CORETYPE": core,
+           "NPY_DISABLE_CPU_FEATURES": " ".join(t for t in targets if features.get(t)),
+           "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+    code = "import sys, pathlib, test_golden; test_golden.generate(pathlib.Path(sys.argv[1]))"
+    subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env, check=True)
+    written = sorted(p.name for p in tmp_path.iterdir())
+    assert written == sorted(p.name for p in GOLDEN.iterdir())
+    changed = [name for name in written if name not in CPU_EXEMPT
+               and (tmp_path / name).read_bytes() != (GOLDEN / name).read_bytes()]
+    assert not changed, (f"outputs differ from tests/data/golden with OpenBLAS {core} and "
+                         f"NPY_DISABLE_CPU_FEATURES={env['NPY_DISABLE_CPU_FEATURES']!r}: {changed}")
 
 
 def test_first_difference_names_the_line():
