@@ -44,29 +44,32 @@ SIGNAL = "signal"
 IDLER = "idler"
 
 _MODE = {SIGNAL: 0, IDLER: 1}
-# the diagonal of V, entries [m, q, m, q], as a (mode, quadrature) array
-_DIAGONAL = (np.array([[0, 0], [1, 1]]), np.array([[0, 1], [0, 1]])) * 2
+# the diagonal of V, entries [m, q, 2 m + q], as a (mode, quadrature) array
+_DIAGONAL = (np.array([[0, 0], [1, 1]]), np.array([[0, 1], [0, 1]]), np.array([[0, 1], [2, 3]]))
 # the modes a squeezer forms, and the other mode of each: both, or the signal
 _BOTH_MODES, _SIGNAL_MODE = (slice(0, 2), slice(1, None, -1)), (slice(0, 1), slice(1, 2))
 
 
 @dataclass(frozen=True)
 class GaussianTwoModeState:
-    """The two-mode field as entries (2, 2, 3, 2, ...): entries[m, q, m', q']
-    is V's entry of rows (m, q) and (m', q') for m' < 2, and entries[m, q, 2, 0]
-    is d's entry (m, q) (entries[..., 2, 1] is unused), over the batch axes.
-    cov (..., 4, 4) and disp (..., 4) are the same numbers batch first."""
+    """The two-mode field as entries (2, 2, 5, ...) over the batch axes:
+    entries[m, q, c] is V's entry of rows (m, q) and c = 2 m' + q' for c < 4,
+    and d's entry (m, q) for c = 4.  cov (..., 4, 4) and disp (..., 4) are
+    the same numbers batch first."""
 
     entries: np.ndarray
 
+    def __post_init__(self):
+        self.entries.flags.writeable = False
+
     @property
     def cov(self) -> np.ndarray:
-        v = self.entries[:, :, :2]
-        return np.moveaxis(v.reshape(4, 4, *v.shape[4:]), (0, 1), (-2, -1))
+        rows = self.entries.reshape(4, *self.entries.shape[2:])
+        return np.moveaxis(rows[:, :4], (0, 1), (-2, -1))
 
     @property
     def disp(self) -> np.ndarray:
-        return np.moveaxis(self.entries[:, :, 2, 0].reshape(4, *self.entries.shape[4:]), 0, -1)
+        return np.moveaxis(self.entries.reshape(4, *self.entries.shape[2:])[:, 4], 0, -1)
 
 
 @dataclass(frozen=True)
@@ -75,12 +78,6 @@ class PhotonStats:
 
     mean: float
     variance: float
-
-
-def _state(entries: np.ndarray) -> GaussianTwoModeState:
-    """Freeze freshly computed entries into a state."""
-    entries.flags.writeable = False
-    return GaussianTwoModeState(entries)
 
 
 def _lift(a: np.ndarray, lead: int, ndim: int) -> np.ndarray:
@@ -92,8 +89,8 @@ def _lift(a: np.ndarray, lead: int, ndim: int) -> np.ndarray:
 def _lifted(state: GaussianTwoModeState, param: np.ndarray):
     """The state's entries and their number of batch axes, at least the
     parameter's."""
-    ndim = max(state.entries.ndim - 4, param.ndim)
-    return _lift(state.entries, 4, ndim), ndim
+    ndim = max(state.entries.ndim - 3, param.ndim)
+    return _lift(state.entries, 3, ndim), ndim
 
 
 def _libm(f, x: float) -> float:
@@ -105,10 +102,10 @@ def _libm(f, x: float) -> float:
 
 
 def _cosh_sinh(g) -> np.ndarray:
-    """cosh g, sinh g and -sinh g, shape (3, *g.shape), from libm element by element
-    as the math module takes them: numpy's SIMD cosh and sinh differ from
-    libm in the last bit for some inputs on some CPUs.  Gains that are all
-    equal (a sweep along another axis) are taken once."""
+    """cosh g, sinh g and -sinh g, shape (3, *g.shape), from libm element
+    by element as the math module takes them: numpy's SIMD cosh and sinh
+    differ from libm in the last bit for some inputs on some CPUs.  Gains
+    that are all equal (a sweep along another axis) are taken once."""
     g = np.asarray(g, dtype=float)
     xs = g.ravel().tolist()
     if not all(map(math.isfinite, xs)):
@@ -120,8 +117,8 @@ def _cosh_sinh(g) -> np.ndarray:
     return values.reshape(3, *g.shape)
 
 
-# V = I/2 and d = 0: the 4x4 identity, padded with two zero columns, halved
-_VACUUM = _state(0.5 * np.eye(4, 6).reshape(2, 2, 3, 2))
+# V = I/2 and d = 0: the 4x4 identity with a zero fifth column, halved
+_VACUUM = GaussianTwoModeState(0.5 * np.eye(4, 5).reshape(2, 2, 5))
 
 
 def vacuum_state() -> GaussianTwoModeState:
@@ -135,8 +132,8 @@ def seed_idler(state: GaussianTwoModeState, n_i) -> GaussianTwoModeState:
     if not ((0.0 <= n_i) & (n_i < math.inf)).all():
         raise DomainError(f"seed photon number n_i must be finite and >= 0, got {n_i}")
     e = _lifted(state, n_i)[0] + np.zeros(n_i.shape)  # the entries, one copy per seed
-    e[1, 0, 2, 0] += np.sqrt(2.0 * n_i)  # the covariance is unchanged
-    return _state(e)
+    e[1, 0, 4] += np.sqrt(2.0 * n_i)  # the covariance is unchanged
+    return GaussianTwoModeState(e)
 
 
 def _squeeze(state: GaussianTwoModeState, g, modes) -> np.ndarray:
@@ -148,14 +145,15 @@ def _squeeze(state: GaussianTwoModeState, g, modes) -> np.ndarray:
     values, (own, other) = _cosh_sinh(g), modes
     e, ndim = _lifted(state, values[0])
     ch, k = values[0], _lift(values[1:], 1, ndim)  # k: sinh g times the signs of x, p
-    e = ch * e[own] + k[:, None, None] * e[other]
-    e[:, :, own] = ch * e[:, :, own] + k * e[:, :, other]
+    e = ch * e[own] + k[:, None] * e[other]
+    v = e[:, :, :4].reshape(e.shape[:2] + (2, 2) + e.shape[3:])  # a view: columns as (m', q')
+    v[:, :, own] = ch * v[:, :, own] + k * v[:, :, other]
     return e
 
 
 def apply_squeezer(state: GaussianTwoModeState, g) -> GaussianTwoModeState:
     """Two-mode squeezer (OPA), a_s -> cosh(g) a_s + sinh(g) a_i^dag and s<->i."""
-    return _state(_squeeze(state, g, _BOTH_MODES))
+    return GaussianTwoModeState(_squeeze(state, g, _BOTH_MODES))
 
 
 def apply_phase(state: GaussianTwoModeState, theta, mode: str = SIGNAL) -> GaussianTwoModeState:
@@ -167,11 +165,12 @@ def apply_phase(state: GaussianTwoModeState, theta, mode: str = SIGNAL) -> Gauss
     e, ndim = _lifted(state, theta)
     m, c = _MODE[mode], np.cos(theta)
     s = _lift(np.multiply.outer((1.0, -1.0), np.sin(theta)), 1, ndim)
-    rows = c * e[m] + s[:, None, None] * e[m, ::-1]
+    rows = c * e[m] + s[:, None] * e[m, ::-1]
     out = np.empty((2, *rows.shape))
     out[m], out[1 - m] = rows, e[1 - m]
-    out[:, :, m] = c * out[:, :, m] + s * out[:, :, m, ::-1]
-    return _state(out)
+    v = out[:, :, :4].reshape(out.shape[:2] + (2, 2) + out.shape[3:])  # a view, as above
+    v[:, :, m] = c * v[:, :, m] + s * v[:, :, m, ::-1]
+    return GaussianTwoModeState(out)
 
 
 def apply_loss(state: GaussianTwoModeState, t_s, t_i) -> GaussianTwoModeState:
@@ -180,19 +179,19 @@ def apply_loss(state: GaussianTwoModeState, t_s, t_i) -> GaussianTwoModeState:
     Per mode: V -> t^2 V + (1 - t^2) I/2, d -> t d; the cross-mode covariance
     block is scaled by t_s * t_i.
     """
-    t = np.empty((3, *np.broadcast(t_s, t_i).shape))
-    t[0], t[1], t[2] = t_s, t_i, 1.0
+    t = np.empty((5, *np.broadcast(t_s, t_i).shape))  # per column: t_s, t_s, t_i, t_i, 1
+    t[:2], t[2:4], t[4] = t_s, t_i, 1.0
     if not ((0.0 <= t) & (t <= 1.0)).all():
-        name, x = ("t_s", t[0]) if not ((0.0 <= t[0]) & (t[0] <= 1.0)).all() else ("t_i", t[1])
+        name, x = ("t_s", t[0]) if not ((0.0 <= t[0]) & (t[0] <= 1.0)).all() else ("t_i", t[2])
         raise DomainError(f"{name} must lie in [0, 1], got {x}")
     e, ndim = _lifted(state, t[0])
-    t = _lift(t, 1, ndim)
-    # entries[m, q, m', q'] -> t_m entries t_m', rows first; d's column has t = 1
-    e = t[:2, None, None, None] * e * t[:, None]
+    t, modes = _lift(t, 1, ndim), slice(0, 4, 2)
+    # entries[m, q, c] -> t_m entries t_c, rows first; d's column has t = 1
+    e = t[modes, None, None] * e * t
     # the vacuum noise (1 - t^2)/2 on the diagonal, with t^2 by libm pow as
     # float ** 2 takes it: t * t differs in the last bit for about 1 t in 1000
-    e[_DIAGONAL] += 0.5 * (1 - np.float_power(t[:2, None], 2.0))
-    return _state(e)
+    e[_DIAGONAL] += 0.5 * (1 - np.float_power(t[modes, None], 2.0))
+    return GaussianTwoModeState(e)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -202,7 +201,7 @@ def photon_moments(state: GaussianTwoModeState, mode: str = SIGNAL):
     Never raises: an entry where float64 overflowed is inf or nan, to be
     reported as overflow_error."""
     m = _MODE[mode]
-    return _moments(state.entries[m, :, m], state.entries[m, :, 2, 0])
+    return _moments(state.entries[m, :, 2 * m:2 * m + 2], state.entries[m, :, 4])
 
 
 def _moments(v: np.ndarray, d: np.ndarray):
@@ -270,13 +269,13 @@ def signal_moments(cfgs: ConfigStack, thetas) -> tuple[np.ndarray, np.ndarray]:
     before_phase = apply_loss(after_opa1, cfgs.t_s, cfgs.t_i)
     # OPA2 forms only the signal rows, and of those the signal columns and d
     tails = _squeeze(apply_phase(before_phase, thetas, SIGNAL), cfgs.g2, _SIGNAL_MODE)
-    signal = np.concatenate([tails[0], *(s.entries[0] for s in (after_opa1, before_phase))], 3)
-    return _moments(signal[:, 0], signal[:, 2, 0])
+    signal = np.concatenate([tails[0], *(s.entries[0] for s in (after_opa1, before_phase))], 2)
+    return _moments(signal[:, :2], signal[:, 4])
 
 
 def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
     """Symplectic spectrum of a covariance matrix; physical states have all >= 1/2."""
-    omega = np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]])
-    # eigenvalues of i*Omega*V come in +/- nu pairs with nu real
-    eig = np.linalg.eigvals(1j * omega @ cov)
+    # eigenvalues of i*Omega*V, Omega = diag(J, J) with J = [[0, 1], [-1, 0]],
+    # come in +/- nu pairs with nu real
+    eig = np.linalg.eigvals(1j * np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]]) @ cov)
     return np.sort(np.abs(eig.real))[::2]

@@ -36,15 +36,16 @@ from .metrics import ShotNoiseConvention
 AXES = ("t_s2", "t_i2", "t_both2", "theta", "n_i", "G1", "G2")
 METRICS = ("mean", "visibility", "dtheta2", "db_vs_shotnoise")
 MAX_STEPS = 10**6
-# grid points per batched propagation.  A block costs a fixed numpy overhead
-# per element call plus its per-point work: a 10^4-point sweep of the
-# benchmark's device took 25 / 19 / 16 / 21 ms of CPU in run_sweep at blocks
-# of 128 / 256 / 512 / 1024 points (medians of 5, 2-vCPU host).  At 512 each
-# array of the phase tails holds 512 x 4 (config, phase) pairs of 24 entries,
-# 0.4 MB; at 1024 such arrays page-fault on every block (5500 minor faults a
-# sweep, against 170 at 512).  A MAX_STEPS sweep in one stack would take
-# 770 MB per array.
-BLOCK_POINTS = 512
+# grid points per batched propagation, set by a fresh process running one
+# 10^4-point sweep of the benchmark's device, as `su11 sweep` does: the
+# Gaussian propagation took 19.0 / 14.6 / 18.7 / 17.9 / 17.3 ms of CPU, and
+# the whole command 58 / 53 / 57 / 57 / 57 ms, at blocks of 128 / 256 / 384 /
+# 512 / 1024 points (medians of 5, 2-vCPU host).  Below 256 the fixed numpy
+# overhead per element call grows; above it the sweep page-faults more (about
+# 3300 minor faults at 256 against 7900 at 512), though a block's largest
+# array, 1024 (config, phase) pairs of 20 entries at 256, is only 0.16 MB.
+# A MAX_STEPS sweep in one stack would take 640 MB per array.
+BLOCK_POINTS = 256
 
 
 @dataclass(frozen=True)

@@ -82,7 +82,7 @@ SWEEPS = {
     # the benchmark's device over three sweep blocks, 2 * BLOCK_POINTS + 44
     # steps, so rows cross two block edges
     "block_edges": ["--metrics", "mean,visibility", "--axis", "t_s2", "--lo", "0.01",
-                    "--hi", "1", "--steps", "1068", "--g1", "0.45", "--g2", "0.2",
+                    "--hi", "1", "--steps", "556", "--g1", "0.45", "--g2", "0.2",
                     "--n_i", "10000", "--base_ts2", "0.52", "--base_ti2", "0.42"],
 }
 
