@@ -156,9 +156,13 @@ def golden_cells():
             yield f"{path.name} {label}", metric, float(text), cfg, convention, error
 
 
-def deviations():
+def deviations() -> list[tuple[str, str, float, float]]:
     """(cell, kind, deviation, bound) of every written metric cell."""
-    mpmath.mp.dps = DIGITS
+    with mpmath.workdps(DIGITS):
+        return list(_deviations())
+
+
+def _deviations():
     exact = {}
     for name, metric, value, cfg, convention, error in golden_cells():
         key = (cfg, convention)
