@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -357,11 +358,16 @@ def test_squeeze_eigenbasis_is_computed_once_per_cutoff(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", lambda a: calls.append(a.shape) or svd(a))
     fock._sectors.cache_clear()
     first = fock.squeeze(fock.vacuum(20), 0.1)
-    assert calls == [(20, 10, 10)]
+    # one SVD per size bucket, of its (|s| count, (m+1)//2, m//2) corner stack
+    buckets = fock._buckets(20)
+    assert len(buckets) > 1
+    assert calls == [(hi - lo, (m + 1) // 2, m // 2) for lo, hi, m in buckets]
+    assert sum(n for n, _, _ in calls) == 20
     mixed = fock.loss(first, 0.8, fock.SIGNAL)
     fock.squeeze(fock.vacuum(20), 0.25)
     fock.squeeze(mixed, 0.2)
-    assert calls == [(20, 10, 10)]
+    fock._squeezed_distribution(mixed, 0.3)
+    assert len(calls) == len(buckets)
 
 
 def test_oracle_runs_on_one_thread():
@@ -594,3 +600,176 @@ def test_oracle_is_independent_of_the_other_engines(engine):
     ours = {m for m in modules if m.startswith("su11sim.") and m.count(".") == 1}
     assert ours == {"su11sim.config", "su11sim.errors", "su11sim.gaussian"}
     assert from_gaussian == {"IDLER", "SIGNAL", "PhotonStats"}
+
+
+# --- size buckets -------------------------------------------------------------
+# Odd and even cutoffs, one bucket (5) and many (112); each state below fills
+# every sector and every delta, so the first sector and delta of each bucket,
+# the edges where a corner shrinks, are populated.
+_BUCKET_CUTOFFS = [5, 13, 16, 37, 64, 112]
+
+
+def _random_pure(d, seed):
+    """Dense, normalised complex amplitudes: every sector is populated."""
+    rng = np.random.default_rng(seed)
+    amp = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return amp / np.linalg.norm(amp)
+
+
+def _sector_density(amp):
+    """Z[delta, n_s, n_i] = amp[n_s, n_i] conj amp[n_s + delta, n_i + delta],
+    written out one delta at a time."""
+    d = amp.shape[0]
+    z = np.zeros((d, d, d), dtype=complex)
+    for delta in range(d):
+        z[delta, : d - delta, : d - delta] = amp[: d - delta, : d - delta] * amp[delta:, delta:].conj()
+    return z
+
+
+def _random_mixed(d, seed):
+    """The sector density of a mixture of two random pure states."""
+    return 0.3 * _sector_density(_random_pure(d, seed)) + 0.7 * _sector_density(
+        _random_pure(d, seed + 1)
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _sector_expm(g, s_abs, d):
+    """The dense references' exp(g (a_s^dag a_i^dag - a_s a_i)) on sectors
+    s and -s, by expm of their tridiagonal generator."""
+    from scipy.linalg import expm
+
+    a = np.arange(1, d - s_abs)
+    sub = g * np.sqrt((a * (a + s_abs)).astype(float))
+    return expm(np.diag(sub, -1) - np.diag(sub, 1))
+
+
+def _squeeze_reference(tensor, g):
+    """Sector by sector: U v for amplitudes, U R U^T on the Hermitian sector
+    block R of a sector density."""
+    d = tensor.shape[-1]
+    out = np.zeros_like(tensor, dtype=complex)
+    for s in range(-(d - 1), d):
+        u, a = _sector_expm(g, abs(s), d), np.arange(d - abs(s))
+        ns, ni = a + max(s, 0), a + max(-s, 0)
+        if tensor.ndim == 2:
+            out[ns, ni] = u @ tensor[ns, ni]
+            continue
+        a, b = np.meshgrid(np.arange(len(ns)), np.arange(len(ns)), indexing="ij")
+        upper = tensor[np.abs(b - a), ns[np.minimum(a, b)], ni[np.minimum(a, b)]]
+        rho = np.where(b >= a, upper, upper.conj())
+        rot = u @ rho @ u.T
+        out[(b - a)[b >= a], ns[a[b >= a]], ni[a[b >= a]]] = rot[b >= a]
+    return out
+
+
+def _loss_reference(z, t, mode):
+    """The dense references' Kraus sum sum_k A_k rho A_k^dag on the sector
+    density, one k at a time: with A_k |n + k> = w(n, k) |n>,
+    Z'[delta][n, m] = sum_k w(n, k) w(n + delta, k) Z[delta][n + k, m]
+    on the lossy mode's index n."""
+    from scipy.special import comb
+
+    d = z.shape[-1]
+    zz = z if mode == fock.SIGNAL else z.transpose(0, 2, 1)
+    n, delta = np.arange(d), np.arange(d)[:, None]
+    out = np.zeros(zz.shape, dtype=complex)
+    for k in range(d):
+        w = lambda m: np.sqrt(comb(m + k, k)) * t**m * (1.0 - t * t) ** (k / 2)
+        out[:, : d - k] += (w(n) * w(n + delta))[:, : d - k, None] * zz[:, k:]
+    return out if mode == fock.SIGNAL else out.transpose(0, 2, 1)
+
+
+def test_sector_references_match_the_dense_density_reference():
+    # the references above are the dense D^2 x D^2 ones, one sector at a time
+    from scipy.linalg import expm
+    from scipy.special import factorial
+
+    d, g, t = 6, 0.4, 0.7
+    amp = _random_pure(d, 3)
+    a, eye = np.diag(np.sqrt(np.arange(1.0, d)), 1), np.eye(d)
+    rho = np.outer(amp.reshape(-1), amp.reshape(-1).conj())
+    sq = expm(g * (np.kron(a.T, a.T) - np.kron(a, a)))
+    kraus = [np.sqrt((1 - t * t) ** k / factorial(k)) * np.diag(t ** np.arange(d))
+             @ np.linalg.matrix_power(a, k) for k in range(d)]
+
+    def sector_density(rho):
+        r = rho.reshape(d, d, d, d)
+        return np.array([[[r[n, m, n + e, m + e] if max(n, m) + e < d else 0
+                           for m in range(d)] for n in range(d)] for e in range(d)])
+
+    assert np.abs(_squeeze_reference(amp, g) - (sq @ amp.reshape(-1)).reshape(d, d)).max() < 1e-14
+    assert np.abs(_sector_density(amp) - sector_density(rho)).max() < 1e-15
+    z = _sector_density(amp)
+    assert np.abs(_squeeze_reference(z, g) - sector_density(sq @ rho @ sq.T)).max() < 1e-14
+    for mode, k_on in ((fock.SIGNAL, lambda k: np.kron(k, eye)), (fock.IDLER, lambda k: np.kron(eye, k))):
+        dense = sum(k_on(k) @ rho @ k_on(k).T for k in kraus)
+        assert np.abs(_loss_reference(z, t, mode) - sector_density(dense)).max() < 1e-14
+
+
+@pytest.mark.parametrize("d", _BUCKET_CUTOFFS)
+def test_buckets_tile_every_index_with_its_live_corner(d):
+    buckets = fock._buckets(d)
+    assert [lo for lo, _, _ in buckets] == list(range(0, d, fock._BUCKET))
+    assert [hi for _, hi, _ in buckets] == [lo for lo, _, _ in buckets[1:]] + [d]
+    assert all(m == d - lo and hi - lo <= fock._BUCKET for lo, hi, m in buckets)
+
+
+@pytest.mark.parametrize("d", _BUCKET_CUTOFFS)
+@pytest.mark.parametrize("mode", [fock.SIGNAL, fock.IDLER])
+@pytest.mark.parametrize("kind", ["pure", "mixed"])
+def test_loss_matches_the_kraus_sum_across_buckets(kind, mode, d):
+    amp = _random_pure(d, d)
+    tensor = amp if kind == "pure" else _random_mixed(d, d)
+    z = _sector_density(amp) if kind == "pure" else tensor
+    edge = fock._buckets(d)[-1][0]  # first delta of the last bucket
+    assert np.abs(z[edge]).max() > 0
+    out = fock.loss(fock.FockTwoModeState(tensor=tensor), 0.6, mode).tensor
+    assert out.shape == (d, d, d)
+    assert np.abs(out - _loss_reference(z, 0.6, mode)).max() < 1e-15
+
+
+@pytest.mark.parametrize("d", _BUCKET_CUTOFFS)
+@pytest.mark.parametrize("kind", ["pure", "mixed"])
+def test_squeeze_matches_the_sector_expm_across_buckets(kind, d):
+    # _apply_squeeze_unitary is squeeze without the tail retry: a dense random
+    # state fills the cutoff's tail on purpose
+    tensor = _random_pure(d, d) if kind == "pure" else _random_mixed(d, d)
+    state = fock.FockTwoModeState(tensor=tensor)
+    ref = _squeeze_reference(tensor, 0.3)
+    out = fock._apply_squeeze_unitary(state, 0.3).tensor
+    assert out.shape == tensor.shape
+    # 5e-14 is the expm reference's own accuracy here: the unbucketed oracle is as far off
+    assert np.abs(out - ref).max() < 5e-14
+    prob = fock._apply_squeeze_readout(state, 0.3)
+    joint = np.abs(ref) ** 2 if kind == "pure" else ref[0].real
+    assert np.abs(prob - joint).max() < 1e-14
+    if kind == "pure":
+        # the eigenbasis branch against the same blocks applied as matrices
+        blocks = np.zeros_like(tensor)
+        for idx, block in fock._squeeze_blocks(0.3, d):
+            blocks.reshape(-1)[idx] = block @ tensor.reshape(-1)[idx]
+        assert np.abs(out - blocks).max() < 2e-15
+
+
+def test_pipeline_forms_the_sector_unitaries_once_per_opa2_attempt(monkeypatch):
+    # a noise-free count: OPA 1 squeezes a pure state without any (D, D, D)
+    # unitary; OPA 2 builds them once per cutoff it tries
+    built, attempts = [], []
+    unitaries, readout = fock._sector_unitaries, fock._apply_squeeze_readout
+    monkeypatch.setattr(fock, "_sector_unitaries", lambda g, d: built.append(d) or unitaries(g, d))
+    monkeypatch.setattr(
+        fock, "_apply_squeeze_readout", lambda st, g: attempts.append(st.cutoff) or readout(st, g)
+    )
+    lossy = InterferometerConfig(g1=0.2, g2=0.2, theta=1.0, t_s=0.7, t_i=0.6, n_i=2.0)
+    fock.pipeline(lossy, cutoff=32)
+    assert built == attempts == [32]
+    built.clear()
+    attempts.clear()
+    # OPA 2 from cutoff 16 must double once
+    fock.pipeline(InterferometerConfig(g1=0.1, g2=0.6, theta=1.0, t_s=0.7, t_i=0.6), cutoff=16)
+    assert built == attempts == [16, 32]
+    built.clear()
+    attempts.clear()
+    fock.pipeline(InterferometerConfig(g1=0.2, g2=0.2, theta=1.0, n_i=2.0), cutoff=32)  # lossless
+    assert built == [] and attempts == [32]
