@@ -46,6 +46,16 @@ MAX_STEPS = 10**6
 # array, 1024 (config, phase) pairs of 20 entries at 256, is only 0.16 MB.
 # A MAX_STEPS sweep in one stack would take 640 MB per array.
 BLOCK_POINTS = 256
+# bytes of float64 (D, D, D) sector densities per fock.pipeline_stack of
+# validate, set by fresh processes each running one `validate --points 24`
+# on seeds 180, 266, 708 and 718, as the benchmark does: the call took
+# 39.5 / 38.9 / 37.3 / 35.2 / 32.1 / 35.3 ms of CPU at stacks of one config
+# and of 1 / 2 / 3 / 4 / 8 MiB, with peak RSS 58.3 / 59.3 / 61.4 / 62.0 /
+# 62.0 / 62.0 MB (medians of 32, 2-vCPU host).  At 4 MiB a stack holds up to
+# 11 configs at cutoff 36 and 16 at cutoff 32, and from cutoff 68 on one.
+# Uncapped, `validate --seed 42 --points 200` stacks 88 configs at cutoff
+# 32 and peaks at 118 MB, against 72 MB at 4 MiB and 59 MB unstacked.
+ORACLE_STACK_BYTES = 4 * 2**20
 
 
 @dataclass(frozen=True)
@@ -568,16 +578,39 @@ def _gaussian_rows(cfgs: list[InterferometerConfig]) -> list[GaussianRow]:
     return list(zip(mean[0].tolist(), var[0].tolist(), columns["visibility"], errors))
 
 
+def _oracle_stacks(cfgs: list[InterferometerConfig]) -> list[tuple[int, list[int]]]:
+    """The configs' indices grouped by fock.suggested_cutoff, in first-seen
+    order, into stacks of at most ORACLE_STACK_BYTES of float64 (D, D, D)
+    sector densities, as (cutoff, indices); a stack holds at least one."""
+    groups: dict[int, list[int]] = {}
+    for i, cfg in enumerate(cfgs):
+        groups.setdefault(fock.suggested_cutoff(cfg), []).append(i)
+    stacks = []
+    for cutoff, idx in groups.items():
+        size = max(1, ORACLE_STACK_BYTES // (8 * cutoff**3))
+        stacks += [(cutoff, idx[i:i + size]) for i in range(0, len(idx), size)]
+    return stacks
+
+
+def _fock_rows(cfgs: list[InterferometerConfig]) -> list[gaussian.PhotonStats]:
+    """Each config's Fock signal statistics at its suggested cutoff, from one
+    fock.pipeline_stack per stack of _oracle_stacks."""
+    rows: list = [None] * len(cfgs)
+    for cutoff, idx in _oracle_stacks(cfgs):
+        for i, stats in zip(idx, fock.pipeline_stack([cfgs[i] for i in idx], cutoff)):
+            rows[i] = stats
+    return rows
+
+
 def _validate_point(
-    cfg: InterferometerConfig, row: GaussianRow
+    cfg: InterferometerConfig, row: GaussianRow, f_stats: gaussian.PhotonStats
 ) -> tuple[dict[str, float], list[str]]:
     """The deviation of each check at one config, and its flags: its
-    Gaussian row of _gaussian_rows against the closed form and the Fock
-    oracle."""
+    Gaussian row of _gaussian_rows against the closed form and its Fock
+    statistics."""
     g_mean, g_var, v_num, v_error = row
     cf_mean = closed_form.mean_signal(cfg)
     g_stats = gaussian.checked_stats(g_mean, g_var)
-    f_stats = fock.pipeline(cfg, cutoff=fock.suggested_cutoff(cfg))
     pairs = {
         "mean_closed_form_vs_gaussian": (cf_mean, g_stats.mean),
         "mean_gaussian_vs_fock": (g_stats.mean, f_stats.mean),
@@ -598,7 +631,13 @@ def _validate_point(
 
 
 def validate(seed: int, points: int) -> ValidationReport:
-    """Run the closed-form / Gaussian / Fock agreement suite on a seeded grid."""
+    """Run the closed-form / Gaussian / Fock agreement suite on a seeded grid.
+
+    The Gaussian leg is one batched propagation (_gaussian_rows) and the Fock
+    leg one fock.pipeline_stack per stack of _oracle_stacks (_fock_rows);
+    each Fock row equals fock.pipeline at the point's suggested cutoff bit
+    for bit.  The closed form and the checks then run point by point, in
+    the grid's order."""
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
     if not 0 <= points <= 10**4:
@@ -608,8 +647,8 @@ def validate(seed: int, points: int) -> ValidationReport:
     worst_at: dict[str, InterferometerConfig] = {}
     flagged: list[str] = []
     failures: list[str] = []
-    for cfg, row in zip(cfgs, _gaussian_rows(cfgs)):
-        devs, flags = _validate_point(cfg, row)
+    for cfg, row, f_stats in zip(cfgs, _gaussian_rows(cfgs), _fock_rows(cfgs)):
+        devs, flags = _validate_point(cfg, row, f_stats)
         flagged.extend(flags)
         for check, dev in devs.items():
             if dev > worst.get(check, 0.0):

@@ -371,8 +371,9 @@ def test_squeeze_eigenbasis_is_computed_once_per_cutoff(monkeypatch):
 
 
 def test_oracle_runs_on_one_thread():
-    # a cold oracle at the cutoffs validate reaches leaves no BLAS worker busy;
-    # the baseline is taken after the start-up spin of importing numpy and scipy
+    # a cold oracle at the cutoffs validate reaches, single and in stacks,
+    # leaves no BLAS worker busy; the baseline is taken after the start-up
+    # spin of importing numpy and scipy
     import os
     import subprocess
     import sys
@@ -380,13 +381,14 @@ def test_oracle_runs_on_one_thread():
 
     code = (
         "import time\n"
-        "from su11sim import InterferometerConfig, fock\n"
+        "from su11sim import InterferometerConfig, fock, sweep\n"
         "other = lambda: time.process_time() - time.thread_time()\n"
         "time.sleep(0.3)\n"
         "base = other()\n"
         "cfg = InterferometerConfig(g1=0.2, g2=0.2, theta=1.0, t_s=0.7, t_i=0.6, n_i=2.0)\n"
         "for d in (32, 36, 40):\n"
         "    fock.pipeline(cfg, cutoff=d)\n"
+        "sweep.validate(180, 24)\n"
         "time.sleep(0.3)\n"
         "print(other() - base)\n"
     )
@@ -753,23 +755,105 @@ def test_squeeze_matches_the_sector_expm_across_buckets(kind, d):
 
 
 def test_pipeline_forms_the_sector_unitaries_once_per_opa2_attempt(monkeypatch):
-    # a noise-free count: OPA 1 squeezes a pure state without any (D, D, D)
-    # unitary; OPA 2 builds them once per cutoff it tries
+    # a noise-free count: OPA 1 squeezes a pure state without any sector
+    # unitary; OPA 2 builds each size bucket's unitaries once per cutoff it tries
     built, attempts = [], []
-    unitaries, readout = fock._sector_unitaries, fock._apply_squeeze_readout
-    monkeypatch.setattr(fock, "_sector_unitaries", lambda g, d: built.append(d) or unitaries(g, d))
+    unitaries, readout = fock._bucket_unitaries, fock._readout
     monkeypatch.setattr(
-        fock, "_apply_squeeze_readout", lambda st, g: attempts.append(st.cutoff) or readout(st, g)
+        fock, "_bucket_unitaries",
+        lambda cos, sin, sec, lo, hi, m: built.append((len(sec.sv), lo)) or unitaries(cos, sin, sec, lo, hi, m),
     )
+    monkeypatch.setattr(fock, "_readout", lambda x, g: attempts.append(x.shape[-1]) or readout(x, g))
+
+    def once_per_bucket(*cutoffs):
+        return [(d, lo) for d in cutoffs for lo, _, _ in fock._buckets(d)]
+
     lossy = InterferometerConfig(g1=0.2, g2=0.2, theta=1.0, t_s=0.7, t_i=0.6, n_i=2.0)
     fock.pipeline(lossy, cutoff=32)
-    assert built == attempts == [32]
+    assert built == once_per_bucket(32) and attempts == [32]
     built.clear()
     attempts.clear()
     # OPA 2 from cutoff 16 must double once
     fock.pipeline(InterferometerConfig(g1=0.1, g2=0.6, theta=1.0, t_s=0.7, t_i=0.6), cutoff=16)
-    assert built == attempts == [16, 32]
+    assert built == once_per_bucket(16, 32) and attempts == [16, 32]
     built.clear()
     attempts.clear()
     fock.pipeline(InterferometerConfig(g1=0.2, g2=0.2, theta=1.0, n_i=2.0), cutoff=32)  # lossless
     assert built == [] and attempts == [32]
+
+
+# --- stacks -------------------------------------------------------------------
+
+# each edge case of the stacked pipeline: a lossless mode (t = 1), a lossless
+# device (a pure state through OPA 2), no seed, and a gain of 0 in either OPA
+_STACK_EDGES = [
+    InterferometerConfig(g1=0.2, g2=0.2, theta=1.0, t_s=1.0, t_i=0.6, n_i=2.0),
+    InterferometerConfig(g1=0.2, g2=0.2, theta=1.0, t_s=0.7, t_i=1.0, n_i=2.0),
+    InterferometerConfig(g1=0.2, g2=0.2, theta=4.0, n_i=2.0),
+    InterferometerConfig(g1=0.2, g2=0.2, theta=1.0, t_s=0.7, t_i=0.6, n_i=0.0),
+    InterferometerConfig(g1=0.2, g2=0.0, theta=1.0, t_s=0.7, t_i=0.6, n_i=2.0),
+    InterferometerConfig(g1=0.2, g2=0.0, theta=1.0, n_i=2.0),
+    InterferometerConfig(g1=0.0, g2=0.2, theta=1.0, t_s=0.7, t_i=0.6, n_i=2.0),
+]
+
+
+@pytest.mark.parametrize("seed,points", [(180, 24), (42, 200)])
+def test_pipeline_stack_rows_equal_the_single_pipeline(seed, points):
+    from su11sim import sweep
+
+    cfgs = sweep.random_oracle_configs(seed, points)
+    stacks = sweep._oracle_stacks(cfgs)
+    assert len({cutoff for cutoff, _ in stacks}) > 1
+    for cutoff, idx in stacks:
+        stack = [cfgs[i] for i in idx] + _STACK_EDGES
+        assert fock.pipeline_stack(stack, cutoff) == [fock.pipeline(cfg, cutoff) for cfg in stack]
+
+
+def test_an_empty_stack_is_empty():
+    assert fock.pipeline_stack([], 32) == []
+
+
+def test_a_stack_recomputes_the_row_that_must_escalate(monkeypatch):
+    attempts, readout = [], fock._readout
+    monkeypatch.setattr(fock, "_readout", lambda x, g: attempts.append(x.shape) or readout(x, g))
+    stack = [
+        InterferometerConfig(g1=0.05 + 0.01 * k, g2=0.1, theta=0.7 * k, t_s=0.6, t_i=0.8, n_i=0.5)
+        for k in range(4)
+    ]
+    stack.insert(2, InterferometerConfig(g1=0.1, g2=0.6, theta=1.0, t_s=0.7, t_i=0.6))
+    out = fock.pipeline_stack(stack, 16)
+    # OPA 2 of the stack at cutoff 16, then of the failing row alone at 16 and 32
+    assert attempts == [(5, 16, 16, 16), (1, 16, 16, 16), (1, 32, 32, 32)]
+    assert out == [fock.pipeline(cfg, 16) for cfg in stack]
+
+
+@pytest.mark.parametrize("d", _BUCKET_CUTOFFS)
+@pytest.mark.parametrize("kind", ["pure", "mixed"])
+def test_two_sided_loss_matches_the_kraus_sum_once_per_mode(kind, d):
+    amp = _random_pure(d, d)
+    tensor = amp if kind == "pure" else _random_mixed(d, d)
+    z = _sector_density(amp) if kind == "pure" else tensor
+    t = np.array([0.6, 0.8])
+    weights = fock._loss_weights(t, d)
+    out = fock._loss_chain(np.stack([tensor, tensor]), weights, weights[::-1])
+    assert out.shape == (2, d, d, d)
+    for row, (t_s, t_i) in enumerate([(0.6, 0.8), (0.8, 0.6)]):
+        ref = _loss_reference(_loss_reference(z, t_s, fock.SIGNAL), t_i, fock.IDLER)
+        assert np.abs(out[row] - ref).max() <= 1e-15
+
+
+def test_a_stack_holds_one_config_whose_density_exceeds_the_cap():
+    from su11sim import sweep
+
+    big = InterferometerConfig(g1=0.1, g2=0.1, theta=1.0, t_s=0.5**0.5, n_i=50.0)
+    assert fock.suggested_cutoff(big) == 112
+    assert 8 * 112**3 > sweep.ORACLE_STACK_BYTES  # 11 MB
+    small = sweep.random_oracle_configs(180, 24)
+    stacks = sweep._oracle_stacks([big] + small + [big])
+    assert stacks[0] == (112, [0]) and stacks[1] == (112, [25])
+    # the other cutoffs, in first-seen order, each fit one stack under the cap
+    seen = list(dict.fromkeys(fock.suggested_cutoff(cfg) for cfg in small))
+    assert [cutoff for cutoff, _ in stacks[2:]] == seen
+    for cutoff, idx in stacks[2:]:
+        assert 1 < len(idx) and len(idx) * 8 * cutoff**3 <= sweep.ORACLE_STACK_BYTES
+    assert sorted(i for _, idx in stacks for i in idx) == list(range(26))

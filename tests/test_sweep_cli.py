@@ -845,7 +845,9 @@ class TestCli:
             assert at.startswith("    at ")
             values = dict(item.split("=") for item in at.split()[1:])
             cfg = InterferometerConfig(**{k: float(v) for k, v in values.items()})
-            devs, _ = sweep._validate_point(cfg, sweep._gaussian_rows([cfg])[0])
+            devs, _ = sweep._validate_point(
+                cfg, sweep._gaussian_rows([cfg])[0], sweep._fock_rows([cfg])[0]
+            )
             assert f"{devs[check]:.3e}" == dev
 
 
