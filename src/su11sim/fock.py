@@ -22,20 +22,24 @@ upper triangle is that half.  Sector s holds only D - |s| states and the
 delta-slice only D - delta live rows, so the indices |s| and delta are grouped
 into contiguous size buckets (`_buckets`), and each bucket runs its batched
 matrix products on the [:m, :m] corner its smallest index leaves live, not
-on the zero padding up to D.  A pure state (OPA 1, and OPA 2 of a lossless
-device) is squeezed by applying the eigenbasis to its sector vectors
-directly, without forming any squeeze matrix.
+on the zero padding up to D.  A pure state (OPA 1) is squeezed by applying
+the eigenbasis to its sector vectors directly, without forming any squeeze
+matrix.
 
 Every kernel acts on a stack: a leading axis of states that share one
 cutoff, each with its own gain, transmission or phase.  `pipeline_stack`
-runs seed -> OPA 1 -> loss -> phase -> OPA 2 for a stack of configs with one
-batched product per stage and size bucket, and `pipeline` is its stack of
-one; the public single-state functions (`displace`, `squeeze`, `loss`,
-`phase_shift`) are stacks of one of the same kernels.  Each row of a stacked
-product and each row sum is computed exactly as the row alone would be (a
-reduction is an elementwise product summed along a row, never a
-matrix-vector product), so a row's result does not depend on what else is
-in its stack.
+runs every config of a stack down one path, with one batched product per
+stage and size bucket:
+
+    seed (`_seed`) -> OPA 1 (`_squeeze_pure`) -> loss and phase
+    (`_loss_chain`) -> OPA 2 (`_readout`),
+
+and `pipeline` is its stack of one; the public single-state functions
+(`displace`, `squeeze`, `loss`, `phase_shift`) are stacks of one of the
+same kernels.  Each row of a stacked product and each row sum is computed
+exactly as the row alone would be (a reduction is an elementwise product
+summed along a row, never a matrix-vector product), so a row's result does
+not depend on what else is in its stack.
 
 The pipeline runs in real float64 arithmetic.  Every factor before the phase
 is real (the seed at alpha = sqrt(n_i), the squeeze blocks, the loss weights),
@@ -45,11 +49,11 @@ cos(theta delta) Z: the sector density of the mixture (rho_theta +
 rho_-theta) / 2.  This is exact, not an approximation: every OPA-2 block is
 real, so rho_theta and rho_-theta give the same signal photon-number
 distribution.  Both losses and that phase are one product chain per size
-bucket of delta, cos(theta delta) L_s Z L_i^T, written once.  The public
-`phase_shift` still returns the true, complex state, and a pure state (a
-lossless device) crosses the phase as its complex (D, D) amplitudes, which
-cost little.  Every state keeps its input's dtype, so a complex seed alpha
-gives complex amplitudes.
+bucket of delta, cos(theta delta) L_s Z L_i^T, written once.  A lossless
+mode takes the same chain: at t = 1 its loss weights are the exact
+identity.  The public `phase_shift` still returns the true, complex state.
+Every state keeps its input's dtype, so a complex seed alpha gives complex
+amplitudes.
 
 OPA 2 is the last element, and the pipeline reads only the diagonal of its
 output.  So it forms no output state: a real sector block R, with stored
@@ -63,6 +67,8 @@ The oracle regime is small gains and seeds; the cutoff auto-doubles when the
 tail of the photon-number distribution becomes populated or probability is
 lost past it.  A stack of one redoes the failing stage at the doubled
 cutoff; in a larger stack a failing row is recomputed as a stack of one.
+Cutoffs outside [1, MAX_CUTOFF], non-finite parameters and unknown mode
+names raise DomainError before any arithmetic.
 """
 
 from __future__ import annotations
@@ -76,11 +82,10 @@ import math
 import numpy as np
 from scipy.special import comb
 
-from .config import InterferometerConfig
+from .config import InterferometerConfig, stack
 from .errors import DomainError, TruncationError
 from .gaussian import IDLER, SIGNAL, PhotonStats
 
-DEFAULT_CUTOFF = 40
 MAX_CUTOFF = 128
 TAIL_TOL = 1e-10
 # tensor axis of each mode's photon number in a pure state
@@ -107,13 +112,26 @@ class FockTwoModeState:
         return self.tensor.shape[-1]
 
 
+def _check_cutoff(cutoff) -> None:
+    if not (isinstance(cutoff, (int, np.integer)) and 1 <= cutoff <= MAX_CUTOFF):
+        raise DomainError(f"cutoff must be an integer in [1, {MAX_CUTOFF}], got {cutoff!r}")
+
+
+def _axis(mode: str) -> int:
+    """The tensor axis of the mode's photon number in a pure state."""
+    if mode not in _AXIS:
+        raise DomainError(f"mode must be {SIGNAL!r} or {IDLER!r}, got {mode!r}")
+    return _AXIS[mode]
+
+
 def _vacuum(k: int, d: int) -> np.ndarray:
     amp = np.zeros((k, d, d))
     amp[:, 0, 0] = 1.0
     return amp
 
 
-def vacuum(cutoff: int = DEFAULT_CUTOFF) -> FockTwoModeState:
+def vacuum(cutoff: int) -> FockTwoModeState:
+    _check_cutoff(cutoff)
     return FockTwoModeState(tensor=_vacuum(1, cutoff)[0])
 
 
@@ -139,7 +157,6 @@ class _Sectors(NamedTuple):
     identity (sv = 0) beyond, so the padding still maps to itself.
     """
 
-    flat: np.ndarray  # (2d-1, d): flat index n_s d + n_i of state a of sector s
     pure: tuple  # (amplitude, sector-vector) flat index pairs, one per state
     blocks: list  # per size bucket: (hi-lo, 2, m, m) flat index into the density
     sv: np.ndarray  # (d, (d+1)//2): singular values of B, by |s|; 0-padded
@@ -198,7 +215,7 @@ def _sectors(d: int) -> _Sectors:
         xb, sv[lo:hi, : m // 2], yt = np.linalg.svd(t[lo:hi, :m:2, 1:m:2])
         x[lo:hi, : (m + 1) // 2, : (m + 1) // 2] = sign[: (m + 1) // 2] * xb
         y[lo:hi, : m // 2, : m // 2] = sign[: m // 2] * yt.transpose(0, 2, 1)
-    return _Sectors(flat, pure, blocks, sv, x, y)
+    return _Sectors(pure, blocks, sv, x, y)
 
 
 @lru_cache(maxsize=4)
@@ -227,17 +244,6 @@ def _bucket_unitaries(cos, sin, sec: _Sectors, lo: int, hi: int, m: int) -> np.n
     u[..., 1::2, ::2] = (y * s) @ x[..., :no].transpose(0, 2, 1)
     u[..., ::2, 1::2] = -u[..., 1::2, ::2].swapaxes(-1, -2)
     return u
-
-
-def _squeeze_blocks(g: float, d: int):
-    """The squeeze's sector blocks one at a time, in the order of n_s - n_i,
-    as (flat index into the (D, D) amplitudes, real block) pairs."""
-    sec = _sectors(d)
-    cos, sin = _rotations(np.array([g]), sec)
-    blocks = [b for lo, hi, m in _buckets(d) for b in _bucket_unitaries(cos, sin, sec, lo, hi, m)[0]]
-    for s in range(-(d - 1), d):
-        m = d - abs(s)
-        yield sec.flat[s + d - 1, :m], blocks[abs(s)][:m, :m]
 
 
 def _regroup(src: np.ndarray, take: np.ndarray, put: np.ndarray, shape) -> np.ndarray:
@@ -285,23 +291,16 @@ def _squeeze_mixed(z: np.ndarray, g: np.ndarray) -> np.ndarray:
     return out
 
 
-def _squeeze(x: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """The squeeze of gain g[k] on each row of a stack of states."""
-    return _squeeze_pure(x, g) if x.ndim == 3 else _squeeze_mixed(x, g)
-
-
-def _readout(x: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """(K, D, D): P(n_s, n_i) after the squeeze of gain g[k] on each row of a
-    stack: |S v|^2 for amplitudes; for sector densities whose delta > 0
-    slices are doubled, rowsum((U R'') * U) per sector block, with U and
-    R'' = 2 R_t - diag R_t formed per size bucket, see the module docstring.
+def _readout(z: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """(K, D, D): P(n_s, n_i) after the squeeze of gain g[k] on each sector
+    density of a stack whose delta > 0 slices are doubled: rowsum((U R'') * U)
+    per sector block, with U and R'' = 2 R_t - diag R_t formed per size
+    bucket, see the module docstring.
     """
-    if x.ndim == 3:
-        return np.abs(_squeeze_pure(x, g)) ** 2
-    k, d = len(x), x.shape[-1]
+    k, d = len(z), z.shape[-1]
     sec = _sectors(d)
     cos, sin = _rotations(g, sec)
-    flat = x.reshape(k, -1)
+    flat = z.reshape(k, -1)
     p = np.empty((k, d, 2, d))  # each sector's dead rows a >= d - |s| are never read
     # two work arrays as large as the first bucket's blocks, shared by every bucket
     work = np.empty((2, k * min(d, _BUCKET) * 2 * d * d))
@@ -313,23 +312,6 @@ def _readout(x: np.ndarray, g: np.ndarray) -> np.ndarray:
         p[:, lo:hi, :, :m] = np.einsum("...ij,...ij->...i", np.matmul(u, r, out=ur), u)
     src, vec = sec.pure
     return _regroup(p, vec, src, (d, d))
-
-
-def _readout_input(state: FockTwoModeState) -> np.ndarray:
-    """The state's stack of one as _readout takes it."""
-    if state.is_pure:
-        return state.tensor[None]
-    return (state.tensor.real * np.r_[1.0, np.full(state.cutoff - 1, 2.0)][:, None, None])[None]
-
-
-def _apply_squeeze_unitary(state: FockTwoModeState, g: float) -> FockTwoModeState:
-    """The squeeze without its tail retry."""
-    return FockTwoModeState(tensor=_squeeze(state.tensor[None], np.array([g], float))[0])
-
-
-def _apply_squeeze_readout(state: FockTwoModeState, g: float) -> np.ndarray:
-    """P(n_s, n_i) of _apply_squeeze_unitary(state, g), without forming it."""
-    return _readout(_readout_input(state), np.array([g], float))[0]
 
 
 def _distribution(x: np.ndarray) -> np.ndarray:
@@ -345,7 +327,7 @@ def _joint_distribution(state: FockTwoModeState) -> np.ndarray:
 
 def number_distribution(state: FockTwoModeState, mode: str = SIGNAL) -> np.ndarray:
     """Marginal photon-number distribution of one mode."""
-    return _joint_distribution(state).sum(axis=1 - _AXIS[mode])
+    return _joint_distribution(state).sum(axis=1 - _axis(mode))
 
 
 def _row_sums(x: np.ndarray) -> np.ndarray:
@@ -357,11 +339,6 @@ def _tail_mass(prob: np.ndarray) -> np.ndarray:
     joint distribution of a stack: the two tail masses added, so the corner
     counts twice."""
     return _row_sums(prob[:, -2:]) + _row_sums(prob[:, :, -2:])
-
-
-def tail_population(state: FockTwoModeState) -> float:
-    """Tail mass of the state's joint photon-number distribution."""
-    return float(_tail_mass(_distribution(state.tensor[None]))[0])
 
 
 def _pad(x: np.ndarray, new_cutoff: int) -> np.ndarray:
@@ -398,26 +375,13 @@ def _with_tail_retry(x, op, label, dist=_distribution, retry=True):
 
 def squeeze(state: FockTwoModeState, g: float) -> FockTwoModeState:
     """Two-mode squeeze exp[g (a_s^dag a_i^dag - a_s a_i)]."""
-    if g < 0:
-        raise DomainError(f"gain must be >= 0, got {g}")
+    if not (math.isfinite(g) and g >= 0):
+        raise DomainError(f"gain must be finite and >= 0, got {g}")
     if g == 0:
         return state
-    out, _ = _with_tail_retry(
-        state.tensor[None], lambda x: _squeeze(x, np.array([g], float)), "squeeze"
-    )
+    op = _squeeze_pure if state.is_pure else _squeeze_mixed
+    out, _ = _with_tail_retry(state.tensor[None], lambda x: op(x, np.array([g], float)), "squeeze")
     return FockTwoModeState(tensor=out[0])
-
-
-def _squeezed_distribution(state: FockTwoModeState, g: float) -> np.ndarray:
-    """P(n_s, n_i) of squeeze(state, g), through the same tail retry, without
-    forming the output state (see _readout)."""
-    if g == 0:
-        return _joint_distribution(state)
-    prob, _ = _with_tail_retry(
-        _readout_input(state), lambda x: _readout(x, np.array([g], float)), "squeeze",
-        dist=lambda p: p,
-    )
-    return prob[0]
 
 
 def _seed(alpha: np.ndarray, d: int, mode: str) -> np.ndarray:
@@ -437,9 +401,15 @@ def displace(state: FockTwoModeState, alpha: complex, mode: str) -> FockTwoModeS
 
     The amplitudes e^{-|alpha|^2/2} alpha^n / sqrt(n!) are exact, real for a
     real alpha, built as one running product and cut at the cutoff, so the
-    norm they miss is the population that lies past it.
+    norm they miss is the population that lies past it.  |alpha|^2 must be
+    a finite float64.
     """
-    if not np.array_equal(state.tensor, vacuum(state.cutoff).tensor):
+    _axis(mode)
+    a = complex(alpha)
+    r = math.hypot(a.real, a.imag)  # abs(a) ** 2 would raise OverflowError
+    if not math.isfinite(r * r):
+        raise DomainError(f"seed amplitude must have a finite |alpha|^2, got {alpha}")
+    if not np.array_equal(state.tensor, _vacuum(1, state.cutoff)[0]):
         raise DomainError("displace seeds the pure vacuum only; the pipeline seeds first")
     if alpha == 0:
         return state
@@ -449,24 +419,21 @@ def displace(state: FockTwoModeState, alpha: complex, mode: str) -> FockTwoModeS
     return FockTwoModeState(tensor=out[0])
 
 
-def _phase(x: np.ndarray, theta: np.ndarray, mode: str) -> np.ndarray:
-    """exp(i theta[k] n) on one mode of each row of a stack: along that mode's
-    axis of amplitudes, or exp(-i theta delta) on a sector density."""
-    n = np.arange(x.shape[-1])
-    if x.ndim == 3:
-        ph = np.exp(1j * theta[:, None] * n)
-        return x * (ph[:, :, None] if _AXIS[mode] == 0 else ph[:, None, :])
-    return x * np.exp(-1j * theta[:, None] * n)[:, :, None, None]
-
-
 def phase_shift(
     state: FockTwoModeState, theta: float, mode: str = SIGNAL
 ) -> FockTwoModeState:
     """Phase shift exp(i theta n) on one mode (signal by default).
 
-    On a sector density it is the factor exp(-i theta delta), whichever mode.
+    On amplitudes it multiplies that mode's axis; on a sector density it is
+    the factor exp(-i theta delta), whichever mode.
     """
-    return FockTwoModeState(tensor=_phase(state.tensor[None], np.array([theta]), mode)[0])
+    axis = _axis(mode)
+    if not math.isfinite(theta):
+        raise DomainError(f"phase theta must be finite, got {theta}")
+    ph = np.exp(1j * theta * np.arange(state.cutoff))
+    if state.is_pure:
+        return FockTwoModeState(tensor=state.tensor * (ph[:, None] if axis == 0 else ph))
+    return FockTwoModeState(tensor=state.tensor * ph.conj()[:, None, None])
 
 
 def _diagonal_shifts(a: np.ndarray) -> np.ndarray:
@@ -476,34 +443,31 @@ def _diagonal_shifts(a: np.ndarray) -> np.ndarray:
     k, d = len(a), a.shape[-1]
     pad = np.zeros((k, 2 * d - 1, 2 * d - 1), dtype=a.dtype)
     pad[:, :d, :d] = a
-    stack, rows, cols = pad.strides
+    layer, rows, cols = pad.strides
     return np.lib.stride_tricks.as_strided(
-        pad, (k, d, d, d), (stack, rows + cols, rows, cols), writeable=False
+        pad, (k, d, d, d), (layer, rows + cols, rows, cols), writeable=False
     )
 
 
-def _loss_weights(t: np.ndarray, d: int) -> np.ndarray | None:
+def _loss_weights(t: np.ndarray, d: int) -> np.ndarray:
     """(K, d, d): w(m, m' - m) at [m, m'] for each transmission t[k] (see
-    loss), zero below the diagonal; None when every t is 1."""
-    if (t == 1.0).all():
-        return None
+    loss), zero below the diagonal; at t = 1 the exact identity."""
     n = np.arange(d)
     k = np.maximum(n - n[:, None], 0)
     t = t[:, None, None]
     return _loss_binomials(d) * t ** n[:, None] * (1.0 - t * t) ** (k / 2)
 
 
-def _loss_chain(x, w_s, w_i, scale=None) -> np.ndarray:
+def _loss_chain(x, w_s, w_i, scale) -> np.ndarray:
     """Both losses on a stack of states, as (K, D, D, D) sector densities:
-    L_s Z L_i^T on each delta-slice, times scale[k, delta] if given, one
-    product chain per size bucket of delta; a mode whose weights (from
-    _loss_weights) are None is not attenuated.  A pure state's sector
-    density is conj(amp[n + delta, m + delta]) amp[n, m]."""
+    L_s Z L_i^T on each delta-slice, times scale[k, delta], one product
+    chain per size bucket of delta, with the weights from _loss_weights.  A
+    pure state's sector density is conj(amp[n + delta, m + delta]) amp[n, m]."""
     k, d = len(x), x.shape[-1]
     pure = x.ndim == 3
     z = _diagonal_shifts(x.conj()) if pure else x
-    shift_s, shift_i = (None if w is None else _diagonal_shifts(w) for w in (w_s, w_i))
-    dtype = np.result_type(x, *(w for w in (w_s, w_i) if w is not None))
+    shift_s, shift_i = _diagonal_shifts(w_s), _diagonal_shifts(w_i)
+    dtype = np.result_type(x, w_s, w_i)
     out = np.zeros((k, d, d, d), dtype)
     # three work arrays as large as the first bucket, shared by every bucket:
     # the loss matrices, and the two ends of each product
@@ -513,17 +477,12 @@ def _loss_chain(x, w_s, w_i, scale=None) -> np.ndarray:
     for lo, hi, m in _buckets(d):
         shape = (k, hi - lo, m, m)
         l, a, b = (w[: math.prod(shape)].reshape(shape) for w in work)
-        zb = np.multiply(z[:, lo:hi, :m, :m], x[:, None, :m, :m], out=a) if pure else z[:, lo:hi, :m, :m]
-        if w_s is not None:
-            np.multiply(shift_s[:, lo:hi, :m, :m], w_s[:, None, :m, :m], out=l)
-            zb = np.matmul(l, zb, out=b if zb is a else a)
-        if w_i is not None:
-            np.multiply(shift_i[:, lo:hi, :m, :m], w_i[:, None, :m, :m], out=l)
-            zb = np.matmul(zb, l.swapaxes(-1, -2), out=b if zb is a else a)
-        if scale is None:
-            out[:, lo:hi, :m, :m] = zb
-        else:
-            np.multiply(zb, scale[:, lo:hi, None, None], out=out[:, lo:hi, :m, :m])
+        zb = np.multiply(z[:, lo:hi, :m, :m], x[:, None, :m, :m], out=b) if pure else z[:, lo:hi, :m, :m]
+        np.multiply(shift_s[:, lo:hi, :m, :m], w_s[:, None, :m, :m], out=l)
+        np.matmul(l, zb, out=a)
+        np.multiply(shift_i[:, lo:hi, :m, :m], w_i[:, None, :m, :m], out=l)
+        np.matmul(a, l.swapaxes(-1, -2), out=b)
+        np.multiply(b, scale[:, lo:hi, None, None], out=out[:, lo:hi, :m, :m])
     return out
 
 
@@ -534,16 +493,18 @@ def loss(state: FockTwoModeState, t: float, mode: str) -> FockTwoModeState:
         A_k |m+k> = w(m, k) |m>,  w(m, k) = sqrt(C(m+k, k)) t^m (1-t^2)^(k/2),
     so on the sector density the lossy mode's index is multiplied by
         L[delta][n, n'] = w(n, n' - n) w(n + delta, n' - n):
-    L @ Z for the signal, Z @ L^T for the idler.  A pure state becomes its
-    sector density first.
+    L @ Z for the signal, Z @ L^T for the idler, the other mode's weights
+    being the identity.  A pure state becomes its sector density first.
     """
+    axis = _axis(mode)
     if not 0.0 <= t <= 1.0:
         raise DomainError(f"transmission must lie in [0, 1], got {t}")
     if t == 1.0:
         return state
-    w = _loss_weights(np.array([t], float), state.cutoff)
-    sides = (w, None) if _AXIS[mode] == 0 else (None, w)
-    return FockTwoModeState(tensor=_loss_chain(state.tensor[None], *sides)[0])
+    d = state.cutoff
+    w, identity = _loss_weights(np.array([t, 1.0]), d)[:, None]
+    sides = (w, identity) if axis == 0 else (identity, w)
+    return FockTwoModeState(tensor=_loss_chain(state.tensor[None], *sides, np.ones((1, d)))[0])
 
 
 def norm_deficit(state: FockTwoModeState) -> float:
@@ -568,7 +529,7 @@ def suggested_cutoff(cfg: InterferometerConfig) -> int:
     """Initial cutoff sized to the pipeline's peak per-mode photon flux.
 
     Slightly generous so the tail-driven auto-doubling rarely triggers; used
-    by the validation harness, while DEFAULT_CUTOFF stays the plain default.
+    by the validation harness.
     """
     # sinh(10)^2 is already ~1e8 photons, far past MAX_CUTOFF
     peak = cfg.n_i + (cfg.n_i + 1.0) * math.sinh(min(cfg.g1 + cfg.g2, 10.0)) ** 2 + 1.0
@@ -598,49 +559,32 @@ def _gain_stage(x, g, op, keep, dist, retry):
 def pipeline_stack(cfgs: list[InterferometerConfig], cutoff: int) -> list[PhotonStats]:
     """Signal photon statistics of each config, all started at one cutoff.
 
-    One stack runs seed -> OPA1 -> loss -> phase -> OPA2, in the Gaussian
-    engine's order.  A lossless config keeps a pure state and crosses the
-    phase as complex amplitudes.  Every row equals pipeline(cfg, cutoff)
+    Every config runs the one path seed -> OPA1 -> loss and phase -> OPA2,
+    in the Gaussian engine's order.  Every row equals pipeline(cfg, cutoff)
     bit for bit: a row that fails a tail check is recomputed as a stack of
     one, which grows its cutoff.
     """
-    k = len(cfgs)
-    if k == 0:
+    _check_cutoff(cutoff)
+    if not cfgs:
         return []
-    g1, g2, theta, t_s, t_i, n_i = np.array(
-        [(c.g1, c.g2, c.theta, c.t_s, c.t_i, c.n_i) for c in cfgs], dtype=float
-    ).reshape(k, 6).T
-    retry = k == 1
+    p, retry = stack(cfgs), len(cfgs) == 1
     amp, ok = _with_tail_retry(
-        _vacuum(k, cutoff), lambda x: _seed(np.sqrt(n_i), x.shape[-1], IDLER), "displace",
-        retry=retry,
+        _vacuum(len(cfgs), cutoff), lambda x: _seed(np.sqrt(p.n_i), x.shape[-1], IDLER),
+        "displace", retry=retry,
     )
-    amp, passed = _gain_stage(amp, g1, _squeeze_pure, lambda x: x, _distribution, retry)
-    ok &= passed
-    stats: list = [None] * k
-    lossy = (t_s != 1.0) | (t_i != 1.0)
-    for mixed, rows in ((True, lossy), (False, ~lossy)):
-        if not rows.any():
-            continue
-        x = amp if rows.all() else amp[rows]
-        d = x.shape[-1]
-        if mixed:
-            # the real part of the phase, with the delta > 0 slices doubled for _readout
-            scale = np.cos(theta[rows, None] * np.arange(d))
-            scale[:, 1:] *= 2.0
-            x = _loss_chain(x, _loss_weights(t_s[rows], d), _loss_weights(t_i[rows], d), scale)
-        else:
-            x = _phase(x, theta[rows], SIGNAL)
-        prob, passed = _gain_stage(x, g2[rows], _readout, _distribution, lambda p: p, retry)
-        ok[rows] &= passed
-        for i, s in zip(np.flatnonzero(rows).tolist(), _moments(prob.sum(axis=2))):
-            stats[i] = s
+    amp, passed = _gain_stage(amp, p.g1, _squeeze_pure, lambda x: x, _distribution, retry)
+    d = amp.shape[-1]
+    # the real part of the phase, with the delta > 0 slices doubled for _readout
+    scale = np.cos(p.theta[:, None] * np.arange(d))
+    scale[:, 1:] *= 2.0
+    z = _loss_chain(amp, _loss_weights(p.t_s, d), _loss_weights(p.t_i, d), scale)
+    prob, read = _gain_stage(z, p.g2, _readout, _distribution, lambda q: q, retry)
+    ok &= passed & read
+    stats = _moments(prob.sum(axis=2))
     return [s if ok[i] else pipeline_stack([cfgs[i]], cutoff)[0] for i, s in enumerate(stats)]
 
 
-def pipeline(
-    cfg: InterferometerConfig, cutoff: int = DEFAULT_CUTOFF
-) -> PhotonStats:
+def pipeline(cfg: InterferometerConfig, cutoff: int) -> PhotonStats:
     """Full interferometer in the truncated Fock basis; returns signal stats.
 
     The stack of one of pipeline_stack.  OPA 2 returns only the joint

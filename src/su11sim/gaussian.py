@@ -50,6 +50,13 @@ _DIAGONAL = (np.array([[0, 0], [1, 1]]), np.array([[0, 1], [0, 1]]), np.array([[
 _BOTH_MODES, _SIGNAL_MODE = (slice(0, 2), slice(1, None, -1)), (slice(0, 1), slice(1, 2))
 
 
+def _mode_index(mode: str) -> int:
+    """0 for the signal, 1 for the idler; DomainError for any other name."""
+    if mode not in _MODE:
+        raise DomainError(f"mode must be {SIGNAL!r} or {IDLER!r}, got {mode!r}")
+    return _MODE[mode]
+
+
 @dataclass(frozen=True)
 class GaussianTwoModeState:
     """The two-mode field as entries (2, 2, 5, ...) over the batch axes:
@@ -159,11 +166,12 @@ def apply_squeezer(state: GaussianTwoModeState, g) -> GaussianTwoModeState:
 def apply_phase(state: GaussianTwoModeState, theta, mode: str = SIGNAL) -> GaussianTwoModeState:
     """Rotate one mode's quadratures by theta (phase shift e^{i theta n}):
     x -> cos x + sin p and p -> cos p - sin x, on its rows, then its columns."""
+    m = _mode_index(mode)
     theta = np.asarray(theta, dtype=float)
     if not np.isfinite(theta).all():
         raise DomainError(f"phase theta must be finite, got {theta}")
     e, ndim = _lifted(state, theta)
-    m, c = _MODE[mode], np.cos(theta)
+    c = np.cos(theta)
     s = _lift(np.multiply.outer((1.0, -1.0), np.sin(theta)), 1, ndim)
     rows = c * e[m] + s[:, None] * e[m, ::-1]
     out = np.empty((2, *rows.shape))
@@ -198,9 +206,9 @@ def apply_loss(state: GaussianTwoModeState, t_s, t_i) -> GaussianTwoModeState:
 def photon_moments(state: GaussianTwoModeState, mode: str = SIGNAL):
     """Photon-number mean and variance of one mode, arrays over the batch axes.
 
-    Never raises: an entry where float64 overflowed is inf or nan, to be
-    reported as overflow_error."""
-    m = _MODE[mode]
+    Never raises on overflow: an entry where float64 overflowed is inf or
+    nan, to be reported as overflow_error."""
+    m = _mode_index(mode)
     return _moments(state.entries[m, :, 2 * m:2 * m + 2], state.entries[m, :, 4])
 
 
@@ -235,10 +243,6 @@ def photon_stats(state: GaussianTwoModeState, mode: str = SIGNAL) -> PhotonStats
     """Photon-number mean and variance of one mode of a single state."""
     mean, var = photon_moments(state, mode)
     return checked_stats(float(mean), float(var))
-
-
-def mean_photons(state: GaussianTwoModeState, mode: str = SIGNAL) -> float:
-    return photon_stats(state, mode).mean
 
 
 def state_after_first_opa(cfg: InterferometerConfig) -> GaussianTwoModeState:

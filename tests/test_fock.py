@@ -1,5 +1,6 @@
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ def test_vacuum_trivia():
 
 
 def test_tmsv_schmidt_coefficients():
-    st = fock.squeeze(fock.vacuum(), 0.1)
+    st = fock.squeeze(fock.vacuum(40), 0.1)
     prob = np.abs(st.tensor) ** 2
     assert prob[1, 1] / prob[0, 0] == pytest.approx(math.tanh(0.1) ** 2, rel=1e-10)
     # off-diagonal photon numbers never appear in a two-mode squeezed vacuum
@@ -26,7 +27,7 @@ def test_tmsv_schmidt_coefficients():
 
 
 def test_tmsv_moments_match_gaussian():
-    st = fock.squeeze(fock.vacuum(), 0.1)
+    st = fock.squeeze(fock.vacuum(40), 0.1)
     stats = fock.photon_stats(st)
     assert stats.mean == pytest.approx(math.sinh(0.1) ** 2, rel=1e-10)
     assert stats.variance == pytest.approx(
@@ -35,7 +36,7 @@ def test_tmsv_moments_match_gaussian():
 
 
 def test_phase_trivia():
-    st = fock.squeeze(fock.vacuum(), 0.2)
+    st = fock.squeeze(fock.vacuum(40), 0.2)
     same = fock.phase_shift(st, 0.0)
     assert np.allclose(same.tensor, st.tensor)
     rotated = fock.phase_shift(st, 1.3)
@@ -45,7 +46,7 @@ def test_phase_trivia():
 
 
 def test_destructive_fringe():
-    st = fock.squeeze(fock.vacuum(), 0.1)
+    st = fock.squeeze(fock.vacuum(40), 0.1)
     st = fock.phase_shift(st, math.pi)
     st = fock.squeeze(st, 0.1)
     assert fock.photon_stats(st).mean == pytest.approx(0.0, abs=1e-9)
@@ -63,7 +64,7 @@ def test_loss_trivia_and_coherent_scaling():
 
 
 def test_loss_attenuates_thermal_marginal():
-    st = fock.squeeze(fock.vacuum(), 0.2)
+    st = fock.squeeze(fock.vacuum(40), 0.2)
     lossy = fock.loss(st, 0.7, fock.SIGNAL)
     assert fock.photon_stats(lossy, fock.SIGNAL).mean == pytest.approx(
         0.49 * math.sinh(0.2) ** 2, rel=1e-9
@@ -71,7 +72,7 @@ def test_loss_attenuates_thermal_marginal():
 
 
 def test_loss_preserves_trace_and_positivity():
-    st = fock.squeeze(fock.vacuum(), 0.3)
+    st = fock.squeeze(fock.vacuum(40), 0.3)
     st = fock.loss(st, 0.4, fock.SIGNAL)
     st = fock.loss(st, 0.9, fock.IDLER)
     assert abs(fock.norm_deficit(st)) < 1e-9
@@ -90,7 +91,7 @@ def test_displacement_poisson_statistics():
 
 def test_seeded_single_opa_gain_factor():
     # displaced idler then squeezed: signal mean = sinh^2(g) (1 + |alpha|^2)
-    st = fock.displace(fock.vacuum(), 2.0, fock.IDLER)
+    st = fock.displace(fock.vacuum(40), 2.0, fock.IDLER)
     st = fock.squeeze(st, 0.1)
     assert fock.photon_stats(st, fock.SIGNAL).mean == pytest.approx(
         math.sinh(0.1) ** 2 * 5.0, rel=1e-9
@@ -99,9 +100,9 @@ def test_seeded_single_opa_gain_factor():
 
 def test_pipeline_fringe_extremes():
     cfg = InterferometerConfig(g1=0.1, g2=0.1, theta=0.0)
-    assert fock.pipeline(cfg).mean == pytest.approx(math.sinh(0.2) ** 2, abs=1e-8)
+    assert fock.pipeline(cfg, 40).mean == pytest.approx(math.sinh(0.2) ** 2, abs=1e-8)
     cfg_pi = cfg.with_theta(math.pi)
-    assert fock.pipeline(cfg_pi).mean == pytest.approx(0.0, abs=1e-9)
+    assert fock.pipeline(cfg_pi, 40).mean == pytest.approx(0.0, abs=1e-9)
 
 
 def test_pipeline_matches_closed_form_and_gaussian():
@@ -110,7 +111,7 @@ def test_pipeline_matches_closed_form_and_gaussian():
     cfg = InterferometerConfig(
         g1=0.2, g2=0.1, theta=math.pi / 3, t_s=0.8, t_i=0.6, n_i=1.0
     )
-    stats = fock.pipeline(cfg)
+    stats = fock.pipeline(cfg, 40)
     assert stats.mean == pytest.approx(closed_form.mean_signal(cfg), rel=1e-7)
     g_stats = gaussian.photon_stats(gaussian.run_interferometer(cfg))
     assert stats.variance == pytest.approx(g_stats.variance, rel=1e-6)
@@ -143,7 +144,18 @@ def test_cutoff_doubling_stops_at_max_cutoff():
     # 40 -> 80 -> 128: the last step is capped at MAX_CUTOFF, not skipped
     st = fock.squeeze(fock.vacuum(40), 1.5)
     assert st.cutoff == fock.MAX_CUTOFF == 128
-    assert fock.tail_population(st) < fock.TAIL_TOL
+    assert _tail_population(st) < fock.TAIL_TOL
+
+
+def _tail_population(state):
+    """The tail mass the oracle's tail check reads, of one state."""
+    return float(fock._tail_mass(fock._distribution(state.tensor[None]))[0])
+
+
+def _squeeze_without_retry(state, g):
+    """fock.squeeze without its tail retry: the kernel of the state's kind."""
+    op = fock._squeeze_pure if state.is_pure else fock._squeeze_mixed
+    return fock.FockTwoModeState(tensor=op(state.tensor[None], np.array([g], float))[0])
 
 
 def test_truncation_error_names_the_cutoff_tried(monkeypatch):
@@ -154,7 +166,7 @@ def test_truncation_error_names_the_cutoff_tried(monkeypatch):
 
 def test_tail_population_is_both_marginals_top_two_shells():
     # squeezed past its cutoff on purpose (no retry), then lossy on both modes
-    st = fock._apply_squeeze_unitary(fock.vacuum(8), 0.8)
+    st = _squeeze_without_retry(fock.vacuum(8), 0.8)
     st = fock.loss(st, 0.7, fock.SIGNAL)
     st = fock.loss(st, 0.6, fock.IDLER)
     assert not st.is_pure
@@ -162,7 +174,19 @@ def test_tail_population_is_both_marginals_top_two_shells():
     p_i = fock.number_distribution(st, fock.IDLER)
     ref = p_s[-2:].sum() + p_i[-2:].sum()
     assert ref > 1e-4
-    assert fock.tail_population(st) == pytest.approx(ref, rel=1e-15)
+    assert _tail_population(st) == pytest.approx(ref, rel=1e-15)
+
+
+def _squeeze_blocks(g, d):
+    """The squeeze's sector blocks from fock._bucket_unitaries one at a time,
+    in the order of n_s - n_i, as (flat index into the (D, D) amplitudes,
+    real block) pairs."""
+    sec = fock._sectors(d)
+    cos, sin = fock._rotations(np.array([g]), sec)
+    blocks = [b for lo, hi, m in fock._buckets(d) for b in fock._bucket_unitaries(cos, sin, sec, lo, hi, m)[0]]
+    for s in range(-(d - 1), d):
+        a = np.arange(d - abs(s))
+        yield (a + max(s, 0)) * d + a + max(-s, 0), blocks[abs(s)][: len(a), : len(a)]
 
 
 @pytest.mark.parametrize("d", [5, 13, 16, 36, 64, 128])
@@ -170,7 +194,7 @@ def test_tail_population_is_both_marginals_top_two_shells():
 def test_squeeze_blocks_orthogonal_and_match_expm(g, d):
     from scipy.linalg import expm
 
-    blocks = list(fock._squeeze_blocks(g, d))
+    blocks = list(_squeeze_blocks(g, d))
     assert len(blocks) == 2 * d - 1
     # sectors s and -s have the same generator: one expm is the reference of both
     refs = {}
@@ -296,12 +320,31 @@ def test_squeeze_tail_retry_pads_a_mixed_state():
 
     small = lossy(16)
     assert not small.is_pure and small.cutoff == 16
-    assert fock.tail_population(fock._apply_squeeze_unitary(small, 0.6)) >= fock.TAIL_TOL
+    assert _tail_population(_squeeze_without_retry(small, 0.6)) >= fock.TAIL_TOL
     grown = fock.squeeze(small, 0.6)
     ref = fock.squeeze(lossy(32), 0.6)
     assert grown.cutoff == ref.cutoff == 32
     assert np.abs(grown.tensor - ref.tensor).max() < 1e-12
     assert fock.photon_stats(grown).mean == pytest.approx(fock.photon_stats(ref).mean, abs=1e-12)
+
+
+def _readout_input(state):
+    """The state's stack of one as fock._readout takes it: the real part of
+    its sector density, with the delta > 0 slices doubled.  The readout is
+    real, so the imaginary part cannot reach a photon-number distribution."""
+    z = _sector_density(state.tensor) if state.is_pure else state.tensor
+    return (z.real * np.r_[1.0, np.full(state.cutoff - 1, 2.0)][:, None, None])[None]
+
+
+def _squeezed_distribution(state, g):
+    """P(n_s, n_i) of fock.squeeze(state, g) as the pipeline's OPA 2 reads it:
+    fock._readout through the same gain stage and tail retry, without forming
+    the output state."""
+    prob, _ = fock._gain_stage(
+        _readout_input(state), np.array([g], float), fock._readout, fock._distribution,
+        lambda p: p, True,
+    )
+    return prob[0]
 
 
 def _readout_states():
@@ -317,7 +360,7 @@ def _readout_states():
 @pytest.mark.parametrize("kind", ["pure", "real mixed", "complex mixed"])
 def test_squeezed_distribution_matches_the_full_squeeze(kind):
     st = _readout_states()[kind]
-    prob = fock._squeezed_distribution(st, 0.2)
+    prob = _squeezed_distribution(st, 0.2)
     ref = fock._joint_distribution(fock.squeeze(st, 0.2))
     assert prob.shape == ref.shape == (16, 16)
     assert np.abs(prob - ref).max() <= 1e-14
@@ -326,8 +369,8 @@ def test_squeezed_distribution_matches_the_full_squeeze(kind):
 def test_squeezed_distribution_grows_the_cutoff_as_squeeze_does():
     st = fock.squeeze(fock.vacuum(16), 0.3)
     st = fock.phase_shift(fock.loss(fock.loss(st, 0.7, fock.SIGNAL), 0.6, fock.IDLER), 1.0)
-    assert fock.tail_population(fock._apply_squeeze_unitary(st, 0.6)) >= fock.TAIL_TOL
-    prob = fock._squeezed_distribution(st, 0.6)
+    assert _tail_population(_squeeze_without_retry(st, 0.6)) >= fock.TAIL_TOL
+    prob = _squeezed_distribution(st, 0.6)
     ref = fock._joint_distribution(fock.squeeze(st, 0.6))
     assert prob.shape == ref.shape == (32, 32)
     assert np.abs(prob - ref).max() <= 1e-14
@@ -366,7 +409,7 @@ def test_squeeze_eigenbasis_is_computed_once_per_cutoff(monkeypatch):
     mixed = fock.loss(first, 0.8, fock.SIGNAL)
     fock.squeeze(fock.vacuum(20), 0.25)
     fock.squeeze(mixed, 0.2)
-    fock._squeezed_distribution(mixed, 0.3)
+    fock._readout(_readout_input(mixed), np.array([0.3]))
     assert len(calls) == len(buckets)
 
 
@@ -453,7 +496,7 @@ def test_seed_past_max_cutoff_raises():
         fock.displace(fock.vacuum(40), 11.0, fock.IDLER)
     cfg = InterferometerConfig(g1=0.1, g2=0.1, theta=1.0, n_i=400.0)
     with pytest.raises(TruncationError):
-        fock.pipeline(cfg)
+        fock.pipeline(cfg, 40)
 
 
 def test_displace_rejects_squeezed_pure_state():
@@ -471,6 +514,53 @@ def test_suggested_cutoff_caps_a_peak_past_max_cutoff(cfg):
     assert fock.suggested_cutoff(cfg) == fock.MAX_CUTOFF
     with pytest.raises(TruncationError):
         fock.pipeline(cfg, cutoff=fock.suggested_cutoff(cfg))
+
+
+@pytest.mark.parametrize("cutoff", [0, -3, 129, 256, 32.0])
+def test_a_cutoff_outside_the_accepted_range_raises_domain_error(cutoff):
+    cfg = InterferometerConfig(g1=0.1, g2=0.1, theta=1.0, t_s=0.8, t_i=0.7, n_i=1.0)
+    for call in (
+        lambda: fock.vacuum(cutoff),
+        lambda: fock.pipeline(cfg, cutoff),
+        lambda: fock.pipeline_stack([cfg, cfg], cutoff),
+        lambda: fock.pipeline_stack([], cutoff),
+    ):
+        with pytest.raises(DomainError, match="cutoff"):
+            call()
+    # both ends of [1, MAX_CUTOFF] are accepted
+    assert fock.vacuum(1).cutoff == 1 and fock.vacuum(fock.MAX_CUTOFF).cutoff == fock.MAX_CUTOFF
+
+
+def _bad_inputs():
+    pure = fock.squeeze(fock.displace(fock.vacuum(12), 0.5, fock.IDLER), 0.1)
+    mixed = fock.loss(pure, 0.8, fock.SIGNAL)
+    nan, inf = float("nan"), float("inf")
+    return {
+        "squeeze nan": lambda: fock.squeeze(pure, nan),
+        "squeeze inf": lambda: fock.squeeze(pure, inf),
+        "displace nan": lambda: fock.displace(fock.vacuum(12), nan, fock.IDLER),
+        "displace inf": lambda: fock.displace(fock.vacuum(12), inf, fock.IDLER),
+        "displace complex nan": lambda: fock.displace(fock.vacuum(12), complex(0.5, nan), fock.IDLER),
+        "displace overflowing": lambda: fock.displace(fock.vacuum(12), 1e200, fock.IDLER),
+        "phase nan": lambda: fock.phase_shift(pure, nan),
+        "phase inf on a mixed state": lambda: fock.phase_shift(mixed, inf),
+        "loss mode": lambda: fock.loss(pure, 0.5, "both"),
+        "phase mode": lambda: fock.phase_shift(pure, 0.1, "both"),
+        "phase mode on a mixed state": lambda: fock.phase_shift(mixed, 0.1, "both"),
+        "displace mode": lambda: fock.displace(fock.vacuum(12), 0.5, "both"),
+        "photon_stats mode": lambda: fock.photon_stats(pure, "both"),
+        "gaussian apply_phase mode": lambda: gaussian.apply_phase(gaussian.vacuum_state(), 0.1, "both"),
+        "gaussian photon_stats mode": lambda: gaussian.photon_stats(gaussian.vacuum_state(), "both"),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_bad_inputs()))
+def test_a_bad_parameter_or_mode_raises_domain_error_before_any_arithmetic(case):
+    # any numpy warning would mean the input reached the arithmetic first
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            _bad_inputs()[case]()
 
 
 def test_cli_import_loads_no_scipy_linear_algebra():
@@ -536,7 +626,7 @@ def _phase_mixture_configs():
     cfgs = sweep.random_oracle_configs(180, 24) + sweep.random_oracle_configs(7, 24)
     assert any(cfg.theta > math.pi for cfg in cfgs)
     return cfgs + [
-        InterferometerConfig(g1=0.25, g2=0.2, theta=4.0, n_i=2.0),  # lossless: pure path
+        InterferometerConfig(g1=0.25, g2=0.2, theta=4.0, n_i=2.0),  # lossless
         InterferometerConfig(g1=0.2, g2=0.3, theta=5.5, t_s=0.6, t_i=0.9, n_i=3.0),
     ]
 
@@ -734,29 +824,30 @@ def test_loss_matches_the_kraus_sum_across_buckets(kind, mode, d):
 @pytest.mark.parametrize("d", _BUCKET_CUTOFFS)
 @pytest.mark.parametrize("kind", ["pure", "mixed"])
 def test_squeeze_matches_the_sector_expm_across_buckets(kind, d):
-    # _apply_squeeze_unitary is squeeze without the tail retry: a dense random
-    # state fills the cutoff's tail on purpose
+    # a dense random state fills the cutoff's tail on purpose, so the squeeze
+    # runs without its tail retry
     tensor = _random_pure(d, d) if kind == "pure" else _random_mixed(d, d)
     state = fock.FockTwoModeState(tensor=tensor)
     ref = _squeeze_reference(tensor, 0.3)
-    out = fock._apply_squeeze_unitary(state, 0.3).tensor
+    out = _squeeze_without_retry(state, 0.3).tensor
     assert out.shape == tensor.shape
     # 5e-14 is the expm reference's own accuracy here: the unbucketed oracle is as far off
     assert np.abs(out - ref).max() < 5e-14
-    prob = fock._apply_squeeze_readout(state, 0.3)
+    prob = fock._readout(_readout_input(state), np.array([0.3]))[0]
     joint = np.abs(ref) ** 2 if kind == "pure" else ref[0].real
     assert np.abs(prob - joint).max() < 1e-14
     if kind == "pure":
         # the eigenbasis branch against the same blocks applied as matrices
         blocks = np.zeros_like(tensor)
-        for idx, block in fock._squeeze_blocks(0.3, d):
+        for idx, block in _squeeze_blocks(0.3, d):
             blocks.reshape(-1)[idx] = block @ tensor.reshape(-1)[idx]
         assert np.abs(out - blocks).max() < 2e-15
 
 
 def test_pipeline_forms_the_sector_unitaries_once_per_opa2_attempt(monkeypatch):
     # a noise-free count: OPA 1 squeezes a pure state without any sector
-    # unitary; OPA 2 builds each size bucket's unitaries once per cutoff it tries
+    # unitary; OPA 2 builds each size bucket's unitaries once per cutoff it
+    # tries, for a lossless device too
     built, attempts = [], []
     unitaries, readout = fock._bucket_unitaries, fock._readout
     monkeypatch.setattr(
@@ -779,13 +870,14 @@ def test_pipeline_forms_the_sector_unitaries_once_per_opa2_attempt(monkeypatch):
     built.clear()
     attempts.clear()
     fock.pipeline(InterferometerConfig(g1=0.2, g2=0.2, theta=1.0, n_i=2.0), cutoff=32)  # lossless
-    assert built == [] and attempts == [32]
+    assert built == once_per_bucket(32) and attempts == [32]
 
 
 # --- stacks -------------------------------------------------------------------
 
 # each edge case of the stacked pipeline: a lossless mode (t = 1), a lossless
-# device (a pure state through OPA 2), no seed, and a gain of 0 in either OPA
+# device (identity loss weights on both modes), no seed, and a gain of 0 in
+# either OPA
 _STACK_EDGES = [
     InterferometerConfig(g1=0.2, g2=0.2, theta=1.0, t_s=1.0, t_i=0.6, n_i=2.0),
     InterferometerConfig(g1=0.2, g2=0.2, theta=1.0, t_s=0.7, t_i=1.0, n_i=2.0),
@@ -835,7 +927,7 @@ def test_two_sided_loss_matches_the_kraus_sum_once_per_mode(kind, d):
     z = _sector_density(amp) if kind == "pure" else tensor
     t = np.array([0.6, 0.8])
     weights = fock._loss_weights(t, d)
-    out = fock._loss_chain(np.stack([tensor, tensor]), weights, weights[::-1])
+    out = fock._loss_chain(np.stack([tensor, tensor]), weights, weights[::-1], np.ones((2, d)))
     assert out.shape == (2, d, d, d)
     for row, (t_s, t_i) in enumerate([(0.6, 0.8), (0.8, 0.6)]):
         ref = _loss_reference(_loss_reference(z, t_s, fock.SIGNAL), t_i, fock.IDLER)

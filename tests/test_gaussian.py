@@ -53,8 +53,8 @@ def test_seed_idler():
     vac = g.vacuum_state()
     assert np.allclose(g.seed_idler(vac, 0.0).disp, 0.0)
     seeded = g.seed_idler(vac, 50.0)
-    assert g.mean_photons(seeded, g.IDLER) == pytest.approx(50.0, rel=1e-12)
-    assert g.mean_photons(seeded, g.SIGNAL) == pytest.approx(0.0, abs=1e-12)
+    assert g.photon_stats(seeded, g.IDLER).mean == pytest.approx(50.0, rel=1e-12)
+    assert g.photon_stats(seeded, g.SIGNAL).mean == pytest.approx(0.0, abs=1e-12)
     stats = g.photon_stats(g.seed_idler(vac, 1e4), g.IDLER)
     # coherent state: Poissonian, variance = mean
     assert stats.mean == pytest.approx(1e4, rel=1e-12)
@@ -84,7 +84,7 @@ def test_destructive_fringe_balanced():
     st1 = g.apply_squeezer(g.vacuum_state(), 0.1)
     st2 = g.apply_phase(st1, math.pi)
     st3 = g.apply_squeezer(st2, 0.1)
-    assert g.mean_photons(st3, g.SIGNAL) == pytest.approx(0.0, abs=1e-14)
+    assert g.photon_stats(st3, g.SIGNAL).mean == pytest.approx(0.0, abs=1e-14)
 
 
 def test_loss_trivia():
@@ -92,7 +92,7 @@ def test_loss_trivia():
     unchanged = g.apply_loss(tmsv, 1.0, 1.0)
     assert np.allclose(unchanged.cov, tmsv.cov, atol=1e-15)
     absorbed = g.apply_loss(tmsv, 0.0, 1.0)
-    assert g.mean_photons(absorbed, g.SIGNAL) == pytest.approx(0.0, abs=1e-14)
+    assert g.photon_stats(absorbed, g.SIGNAL).mean == pytest.approx(0.0, abs=1e-14)
     # signal reduced state is vacuum
     assert np.allclose(absorbed.cov[:2, :2], 0.5 * np.eye(2), atol=1e-14)
     with pytest.raises(DomainError):
@@ -103,11 +103,11 @@ def test_loss_trivia():
 
 def test_run_interferometer_fringe_extremes():
     cfg = InterferometerConfig(g1=0.1, g2=0.1, theta=0.0)
-    assert g.mean_photons(g.run_interferometer(cfg)) == pytest.approx(
+    assert g.photon_stats(g.run_interferometer(cfg)).mean == pytest.approx(
         math.sinh(0.2) ** 2, rel=1e-12
     )
     cfg_pi = cfg.with_theta(math.pi)
-    assert g.mean_photons(g.run_interferometer(cfg_pi)) == pytest.approx(
+    assert g.photon_stats(g.run_interferometer(cfg_pi)).mean == pytest.approx(
         0.0, abs=1e-14
     )
 
@@ -115,15 +115,15 @@ def test_run_interferometer_fringe_extremes():
 def test_run_interferometer_no_gain_pure_attenuation():
     cfg = InterferometerConfig(g1=0.0, g2=0.0, theta=1.3, t_s=0.6, t_i=0.8, n_i=7.0)
     out = g.run_interferometer(cfg)
-    assert g.mean_photons(out, g.IDLER) == pytest.approx(7.0 * 0.8**2, rel=1e-12)
-    assert g.mean_photons(out, g.SIGNAL) == pytest.approx(0.0, abs=1e-12)
+    assert g.photon_stats(out, g.IDLER).mean == pytest.approx(7.0 * 0.8**2, rel=1e-12)
+    assert g.photon_stats(out, g.SIGNAL).mean == pytest.approx(0.0, abs=1e-12)
 
 
 def test_energy_bookkeeping_lossless_spontaneous():
     cfg = InterferometerConfig(g1=0.25, g2=0.15, theta=0.0)
     out = g.run_interferometer(cfg)
-    assert g.mean_photons(out, g.SIGNAL) == pytest.approx(
-        g.mean_photons(out, g.IDLER), rel=1e-12
+    assert g.photon_stats(out, g.SIGNAL).mean == pytest.approx(
+        g.photon_stats(out, g.IDLER).mean, rel=1e-12
     )
 
 
@@ -138,7 +138,7 @@ def test_energy_bookkeeping_lossless_spontaneous():
 )
 def test_closed_form_mean_equivalence(g1, g2, theta, t_s, t_i, n_i):
     cfg = InterferometerConfig(g1=g1, g2=g2, theta=theta, t_s=t_s, t_i=t_i, n_i=n_i)
-    engine = g.mean_photons(g.run_interferometer(cfg))
+    engine = g.photon_stats(g.run_interferometer(cfg)).mean
     analytic = closed_form.mean_signal(cfg)
     assert engine == pytest.approx(analytic, rel=1e-10, abs=1e-12)
 
@@ -147,7 +147,7 @@ def test_closed_form_mean_equivalence_large_seed_unbalanced():
     cfg = InterferometerConfig(
         g1=0.45, g2=0.2, theta=0.7, t_s=math.sqrt(0.52), t_i=math.sqrt(0.42), n_i=1e4
     )
-    assert g.mean_photons(g.run_interferometer(cfg)) == pytest.approx(
+    assert g.photon_stats(g.run_interferometer(cfg)).mean == pytest.approx(
         closed_form.mean_signal(cfg), rel=1e-10
     )
 
@@ -156,8 +156,8 @@ def test_closed_form_mean_equivalence_large_seed_unbalanced():
 @given(theta=st.floats(-10.0, 10.0))
 def test_phase_periodicity(theta):
     cfg = InterferometerConfig(g1=0.2, g2=0.1, theta=theta, t_s=0.8, t_i=0.9, n_i=2.0)
-    m1 = g.mean_photons(g.run_interferometer(cfg))
-    m2 = g.mean_photons(g.run_interferometer(cfg.with_theta(theta + 2 * math.pi)))
+    m1 = g.photon_stats(g.run_interferometer(cfg)).mean
+    m2 = g.photon_stats(g.run_interferometer(cfg.with_theta(theta + 2 * math.pi))).mean
     assert m2 == pytest.approx(m1, abs=1e-12, rel=1e-12)
 
 
